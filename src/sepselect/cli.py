@@ -2,17 +2,16 @@
 evaluation and embedding export.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Environment overrides: SEPSELECT_OUTPUT_DIR (default output directory),
-SEPSELECT_THREADS (default worker count). The report file is fully
-deterministic for a fixed config and seed; wall-clock timings go to
-timings.txt and stdout only.
+Environment override: SEPSELECT_OUTPUT_DIR (default output directory).
+The report file is fully deterministic for a fixed config and seed;
+wall-clock timings go to timings.txt and stdout only.
 """
 
 import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,28 +38,9 @@ class RunConfig:
 
     input_path: str
     label_column: str
-    seed: int
-    perplexity: float
-    tsne_iterations: int
-    fold_count: int
-    k_max: int | None
-    knee_sensitivity: float
-    smoothing_window: int
+    selection: SelectionConfig
     n_neighbors: int
     output_dir: str
-    threads: int
-
-    def selection_config(self):
-        return SelectionConfig(
-            seed=self.seed,
-            perplexity=self.perplexity,
-            tsne_iterations=self.tsne_iterations,
-            fold_count=self.fold_count,
-            k_max=self.k_max,
-            knee_sensitivity=self.knee_sensitivity,
-            smoothing_window=self.smoothing_window,
-            threads=self.threads,
-        )
 
 
 class _UsageError(Exception):
@@ -76,10 +56,6 @@ def _env_output_dir():
     return os.environ.get("SEPSELECT_OUTPUT_DIR", "sepselect-out")
 
 
-def _env_threads():
-    return int(os.environ.get("SEPSELECT_THREADS", "1"))
-
-
 def build_parser():
     parser = _Parser(
         prog="sepselect",
@@ -88,27 +64,28 @@ def build_parser():
             "class-pair separability, clusters the embedding for every k, and "
             "picks the knee of the cross-validated validity curve."
         ),
-        epilog=(
-            "Environment: SEPSELECT_OUTPUT_DIR overrides the default output "
-            "directory, SEPSELECT_THREADS the default worker count."
-        ),
+        epilog="Environment: SEPSELECT_OUTPUT_DIR overrides the default output directory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_selection=True):
+        # selection options default to SUPPRESS and are stored under their
+        # SelectionConfig field names, so the defaults live in that class only
+        def selection(flag, dest, type_, help_=None):
+            p.add_argument(flag, dest=dest, type=type_, default=argparse.SUPPRESS, help=help_)
+
         p.add_argument("--input", required=True, help="CSV file (header row required)")
         p.add_argument("--label", required=True, help="label column name or zero-based index")
         p.add_argument("--seed", type=int, required=True, help="base seed for all randomness")
         p.add_argument("--output-dir", default=None, help="artifact directory")
         if with_selection:
-            p.add_argument("--perplexity", type=float, default=30.0)
-            p.add_argument("--tsne-iterations", type=int, default=1000)
-            p.add_argument("--folds", type=int, default=5)
-            p.add_argument("--k-max", type=int, default=None, help="cap the clustering sweep")
-            p.add_argument("--knee-sensitivity", type=float, default=1.0)
-            p.add_argument("--smoothing-window", type=int, default=0)
+            selection("--perplexity", "perplexity", float)
+            selection("--tsne-iterations", "tsne_iterations", int)
+            selection("--folds", "fold_count", int)
+            selection("--k-max", "k_max", int, "cap the clustering sweep")
+            selection("--knee-sensitivity", "knee_sensitivity", float)
+            selection("--smoothing-window", "smoothing_window", int)
         p.add_argument("--neighbors", type=int, default=5, help="KNN neighbor count")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
 
     p_select = sub.add_parser("select", help="run the full selection pipeline")
     common(p_select)
@@ -178,19 +155,13 @@ def main(argv=None):
 
 
 def _run_config(args):
+    given = {f.name: getattr(args, f.name) for f in fields(SelectionConfig) if f.name in args}
     return RunConfig(
         input_path=args.input,
         label_column=args.label,
-        seed=args.seed,
-        perplexity=getattr(args, "perplexity", 30.0),
-        tsne_iterations=getattr(args, "tsne_iterations", 1000),
-        fold_count=getattr(args, "folds", 5),
-        k_max=getattr(args, "k_max", None),
-        knee_sensitivity=getattr(args, "knee_sensitivity", 1.0),
-        smoothing_window=getattr(args, "smoothing_window", 0),
+        selection=SelectionConfig(**given),
         n_neighbors=args.neighbors,
         output_dir=args.output_dir if args.output_dir is not None else _env_output_dir(),
-        threads=args.threads if args.threads is not None else _env_threads(),
     )
 
 
@@ -209,20 +180,11 @@ def _write(path, text):
 
 
 def _config_echo(cfg):
-    lines = [
-        "config:",
-        f"  input: {cfg.input_path}",
-        f"  label_column: {cfg.label_column}",
-        f"  seed: {cfg.seed}",
-        f"  perplexity: {cfg.perplexity!r}",
-        f"  tsne_iterations: {cfg.tsne_iterations}",
-        f"  fold_count: {cfg.fold_count}",
-        f"  k_max: {cfg.k_max if cfg.k_max is not None else 'none'}",
-        f"  knee_sensitivity: {cfg.knee_sensitivity!r}",
-        f"  smoothing_window: {cfg.smoothing_window}",
-        f"  n_neighbors: {cfg.n_neighbors}",
-        f"  threads: {cfg.threads}",
-    ]
+    lines = ["config:", f"  input: {cfg.input_path}", f"  label_column: {cfg.label_column}"]
+    for f in fields(SelectionConfig):
+        value = getattr(cfg.selection, f.name)
+        lines.append(f"  {f.name}: {'none' if value is None else repr(value)}")
+    lines.append(f"  n_neighbors: {cfg.n_neighbors}")
     return lines
 
 
@@ -232,7 +194,7 @@ def cmd_select(args):
     outdir = _outdir(cfg)
 
     t0 = time.perf_counter()
-    result = select_features(data, cfg.selection_config())
+    result = select_features(data, cfg.selection)
     select_seconds = time.perf_counter() - t0
 
     lines = ["selection report", "================", ""]
@@ -263,7 +225,7 @@ def cmd_select(args):
 
     if args.index_curves:
         ks = result.curve.ks
-        curves = index_curves(result.embedding.coords, ks, cfg.seed, threads=cfg.threads)
+        curves = index_curves(result.embedding.coords, ks, cfg.selection.seed)
         _write_indices_csv(os.path.join(outdir, "indices.csv"), curves)
         if args.plots:
             chart = LineChart(title="validity indices", x_label="k", y_label="index")
@@ -346,8 +308,9 @@ def _baseline_subset(method, train, k, seed, relieff_neighbors):
 def cmd_baseline(args):
     cfg = _run_config(args)
     data = _load_normalized(cfg)
-    subset = _baseline_subset(args.method, data, args.k, cfg.seed, args.relieff_neighbors)
-    print(f"# method={args.method} k={args.k} seed={cfg.seed} input={cfg.input_path}")
+    seed = cfg.selection.seed
+    subset = _baseline_subset(args.method, data, args.k, seed, args.relieff_neighbors)
+    print(f"# method={args.method} k={args.k} seed={seed} input={cfg.input_path}")
     for j in subset:
         print(f"{j},{data.feature_names[j]}")
     if args.output_dir is not None:
@@ -382,11 +345,11 @@ def cmd_evaluate(args):
     cfg = _run_config(args)
     data = _load_normalized(cfg)
     subset = _parse_features(args.features, data)
-    spec = SplitSpec(train_fraction=args.train_fraction, seed=cfg.seed)
+    spec = SplitSpec(train_fraction=args.train_fraction, seed=cfg.selection.seed)
     train, test = split_train_test(data, spec)
     report = evaluate(train, test, subset, n_neighbors=cfg.n_neighbors)
     print(
-        f"# input={cfg.input_path} seed={cfg.seed} "
+        f"# input={cfg.input_path} seed={cfg.selection.seed} "
         f"train_fraction={args.train_fraction} neighbors={cfg.n_neighbors} "
         f"features={args.features}"
     )
@@ -402,7 +365,8 @@ def cmd_embed_only(args):
     data = _load_normalized(cfg)
     outdir = _outdir(cfg)
     z = build_feature_space(data)
-    embedding = embed(z, cfg.selection_config().tsne_config(seed=cfg.seed))
+    sel = cfg.selection
+    embedding = embed(z, sel.tsne_config(seed=sel.seed))
     _write_embedding_csv(
         os.path.join(outdir, "embedding.csv"), data.feature_names, embedding.coords
     )
@@ -412,8 +376,8 @@ def cmd_embed_only(args):
             rows.append(",".join([str(name)] + [repr(float(v)) for v in row]))
         _write(os.path.join(outdir, "z.csv"), "\n".join(rows) + "\n")
     print(
-        f"# input={cfg.input_path} seed={cfg.seed} perplexity={cfg.perplexity} "
-        f"tsne_iterations={cfg.tsne_iterations}"
+        f"# input={cfg.input_path} seed={sel.seed} perplexity={sel.perplexity} "
+        f"tsne_iterations={sel.tsne_iterations}"
     )
     print(f"embedding written to {outdir}")
     return EXIT_OK
@@ -428,8 +392,8 @@ def cmd_compare(args):
         raise DataError("repetitions must be >= 1")
 
     # k_min from a full CV selection on the first repetition's training split
-    train0, _ = split_train_test(data, SplitSpec(seed=cfg.seed))
-    sel_cfg = cfg.selection_config()
+    sel_cfg = cfg.selection
+    train0, _ = split_train_test(data, SplitSpec(seed=sel_cfg.seed))
     result = select_features(train0, sel_cfg)
     k_min = result.k_min
 
@@ -439,12 +403,13 @@ def cmd_compare(args):
     subset_times, all_times = [], []
 
     for r in range(reps):
-        train, test = split_train_test(data, SplitSpec(seed=cfg.seed + r))
-        rep_cfg = replace(sel_cfg, seed=cfg.seed + r)
+        rep_seed = sel_cfg.seed + r
+        train, test = split_train_test(data, SplitSpec(seed=rep_seed))
+        rep_cfg = replace(sel_cfg, seed=rep_seed)
         _, clustering = select_at_k(train, k_min, rep_cfg)
         subsets = {"sepselect": clustering.medoids.tolist()}
         for m in _BASELINES:
-            subsets[m] = _baseline_subset(m, train, k_min, cfg.seed + r, args.relieff_neighbors)
+            subsets[m] = _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
 
         for m in methods:
             report = evaluate(train, test, subsets[m], n_neighbors=cfg.n_neighbors)

@@ -2,8 +2,9 @@
 
 CSV input is RFC-4180 style: header row required, UTF-8, '.' decimal
 separator. The label column is picked by name (exact header match wins)
-or by zero-based index. Every non-label cell must parse as a real number;
-missing-value handling and categorical encoding are out of scope.
+or by zero-based index. Every non-label cell must parse as a finite real
+number (`nan` and `inf` are rejected); missing-value handling and
+categorical encoding are out of scope.
 """
 
 import csv
@@ -119,6 +120,7 @@ def load_csv(path, label_column):
 
         rows = []
         labels = []
+        row_numbers = []
         for data_row, cells in enumerate(reader, start=1):
             if not cells:
                 continue  # tolerate trailing blank lines
@@ -139,14 +141,23 @@ def load_csv(path, label_column):
                     ) from None
             rows.append(values)
             labels.append(cells[label_idx])
+            row_numbers.append(data_row)
 
     if len(rows) < 2:
         raise DataError(f"need at least 2 data rows, got {len(rows)}")
+    instances = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(instances))
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(
+            f"non-finite value {instances[r, c]} at data row {row_numbers[r]}, "
+            f"column '{feature_names[c]}'"
+        )
     class_ids = list(dict.fromkeys(labels))  # first-appearance order
     if len(class_ids) < 2:
         raise DataError("fewer than 2 classes in the label column")
     return Dataset(
-        instances=np.array(rows, dtype=float),
+        instances=instances,
         labels=np.array(labels, dtype=object),
         feature_names=feature_names,
         class_ids=class_ids,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import squared_pairwise
 from .errors import DataError, NumericalError
 
 _MAX_SWAP_ROUNDS = 300
@@ -48,14 +49,6 @@ def _as_matrix(points):
     if pts.ndim == 1:
         pts = pts[:, None]
     return pts
-
-
-def _distance_matrix(points):
-    sq = np.sum(points ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
 
 
 def kmeanspp_init(points, k, seed):
@@ -126,7 +119,7 @@ def _pam_single(points, k, seed, cost_log=None):
     if not np.all(np.isfinite(pts)):
         raise NumericalError("non-finite coordinates")
 
-    dist = _distance_matrix(pts)
+    dist = np.sqrt(squared_pairwise(pts))
     medoids = np.sort(kmeanspp_init(pts, k, seed))
 
     for _ in range(_MAX_SWAP_ROUNDS):

@@ -16,14 +16,14 @@ SeedSequence so runs are reproducible and folds stay independent.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataio import SplitSpec, make_folds
+from .distances import cross
 from .errors import DataError
-from .kmedoids import ClusteringResult, pam_cluster
+from .kmedoids import ClusteringResult, _assign, pam_cluster
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
 from .tsne import Embedding, TsneConfig, embed
@@ -37,28 +37,19 @@ class SelectionConfig:
     seed: int = 0
     perplexity: float = 30.0
     tsne_iterations: int = 1000
-    output_dim: int = 2
     fold_count: int = 5
     k_max: int | None = None  # cap on the clustering sweep; None = all features
     knee_sensitivity: float = 1.0
     smoothing_window: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.fold_count < 2:
             raise DataError("fold_count must be >= 2")
         if self.k_max is not None and self.k_max < 4:
             raise DataError("k_max must be >= 4 (knee detection needs 3 curve points)")
-        if self.threads < 1:
-            raise DataError("threads must be >= 1")
 
     def tsne_config(self, seed):
-        return TsneConfig(
-            perplexity=self.perplexity,
-            iterations=self.tsne_iterations,
-            output_dim=self.output_dim,
-            seed=seed,
-        )
+        return TsneConfig(perplexity=self.perplexity, iterations=self.tsne_iterations, seed=seed)
 
 
 @dataclass
@@ -102,11 +93,8 @@ def nearest_medoid_clustering(points, medoid_ids):
     index); the scoring geometry for validation folds."""
     pts = np.asarray(points, dtype=float)
     medoids = np.sort(np.asarray(medoid_ids, dtype=int))
-    diffs = pts[:, None, :] - pts[medoids][None, :, :]
-    dm = np.sqrt(np.sum(diffs ** 2, axis=2))
-    assignment = np.argmin(dm, axis=1)
-    cost = float(dm[np.arange(pts.shape[0]), assignment].sum())
-    return ClusteringResult(medoids=medoids, assignment=assignment, cost=cost)
+    assignment, nearest = _assign(cross(pts, pts[medoids]))
+    return ClusteringResult(medoids=medoids, assignment=assignment, cost=float(nearest.sum()))
 
 
 def validation_mss(z_val, medoid_features):
@@ -115,13 +103,6 @@ def validation_mss(z_val, medoid_features):
     clustering = nearest_medoid_clustering(z_val.z, medoid_features)
     report = mss(z_val.z, clustering)
     return np.nan if report.aggregate is None else report.aggregate
-
-
-def _k_sweep(ks, worker, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, ks))
-    return [worker(k) for k in ks]
 
 
 def mss_curve_cv(train, cfg):
@@ -144,12 +125,9 @@ def mss_curve_cv(train, cfg):
         z_tr = build_feature_space(tr_part)
         z_val = build_feature_space(val_part)
         emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
-
-        def score(k, _coords=emb.coords, _zv=z_val, _stage=f + 1):
-            clustering = pam_cluster(_coords, int(k), _derived_seed(cfg.seed, _stage, k))
-            return validation_mss(_zv, clustering.medoids)
-
-        fold_values[f] = _k_sweep(ks, score, cfg.threads)
+        for j, k in enumerate(ks):
+            clustering = pam_cluster(emb.coords, int(k), _derived_seed(cfg.seed, f + 1, k))
+            fold_values[f, j] = validation_mss(z_val, clustering.medoids)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
@@ -216,23 +194,16 @@ class IndexCurves:
     clusterings: list = field(default_factory=list)
 
 
-def index_curves(coords, ks, base_seed, threads=1):
+def index_curves(coords, ks, base_seed):
     """All three validity indices across a k sweep of one embedding; the
     material for side-by-side curve plots and correlation checks."""
     ks = np.asarray(ks, dtype=int)
-
-    def one(k):
-        clustering = pam_cluster(coords, int(k), _derived_seed(base_seed, 0, k))
-        sil = silhouette(coords, clustering).aggregate
-        ss = simplified_silhouette(coords, clustering).aggregate
-        ms = mss(coords, clustering).aggregate
-        return clustering, sil, ss, (np.nan if ms is None else ms)
-
-    rows = _k_sweep(ks, one, threads)
+    clusterings = [pam_cluster(coords, int(k), _derived_seed(base_seed, 0, k)) for k in ks]
+    mean_simplified = [mss(coords, c).aggregate for c in clusterings]
     return IndexCurves(
         ks=ks,
-        silhouette=np.array([r[1] for r in rows]),
-        simplified=np.array([r[2] for r in rows]),
-        mean_simplified=np.array([r[3] for r in rows]),
-        clusterings=[r[0] for r in rows],
+        silhouette=np.array([silhouette(coords, c).aggregate for c in clusterings]),
+        simplified=np.array([simplified_silhouette(coords, c).aggregate for c in clusterings]),
+        mean_simplified=np.array([np.nan if v is None else v for v in mean_simplified]),
+        clusterings=clusterings,
     )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import squared_pairwise
 from .errors import DataError, NumericalError
 
 # Affinity floors: no off-diagonal entry below this enters a logarithm.
@@ -76,14 +77,6 @@ def _as_points(z):
     return np.asarray(pts, dtype=float)
 
 
-def _squared_distances(points):
-    sq = np.sum(points ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def _row_affinities(d2_row, beta):
     # Shift by the smallest off-diagonal distance so the nearest neighbor
     # never underflows; the shift cancels in the normalization.
@@ -116,7 +109,7 @@ def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
             f"perplexity must lie in [1, M-1] = [1, {m - 1}], got {perplexity}"
         )
 
-    d2 = _squared_distances(points)
+    d2 = squared_pairwise(points)
     p_cond = np.zeros((m, m))
     others = np.arange(m)
     for i in range(m):
@@ -178,7 +171,7 @@ def low_dim_affinities(coords):
 
 
 def _student_weights(coords):
-    w = 1.0 / (1.0 + _squared_distances(coords))
+    w = 1.0 / (1.0 + squared_pairwise(coords))
     np.fill_diagonal(w, 0.0)
     return w
 

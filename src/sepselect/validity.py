@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import cross
 from .errors import DataError
 
 
@@ -53,14 +54,6 @@ def _check_clustering(points, clustering):
     return pts
 
 
-def _medoid_distances(pts, medoids, counter=None):
-    diffs = pts[:, None, :] - pts[medoids][None, :, :]
-    dm = np.sqrt(np.sum(diffs ** 2, axis=2))
-    if counter is not None:
-        counter.evaluations += dm.size
-    return dm
-
-
 def silhouette(points, clustering):
     """Full-pairwise Silhouette; singleton-cluster points score 0."""
     pts = _check_clustering(points, clustering)
@@ -69,8 +62,7 @@ def silhouette(points, clustering):
     assign = clustering.assignment
     sizes = clustering.cluster_sizes()
 
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diffs ** 2, axis=2))
+    dist = cross(pts, pts)
 
     values = np.zeros(m)
     for i in range(m):
@@ -99,7 +91,7 @@ def simplified_silhouette(points, clustering):
     assign = clustering.assignment
     sizes = clustering.cluster_sizes()
 
-    dm = _medoid_distances(pts, clustering.medoids)
+    dm = cross(pts, pts[clustering.medoids])
     own = dm[np.arange(m), assign]
     masked = dm.copy()
     masked[np.arange(m), assign] = np.inf
@@ -126,7 +118,9 @@ def mss(points, clustering, counter=None):
     assign = clustering.assignment
     sizes = clustering.cluster_sizes()
 
-    dm = _medoid_distances(pts, clustering.medoids, counter=counter)
+    dm = cross(pts, pts[clustering.medoids])
+    if counter is not None:
+        counter.evaluations += dm.size
     own = dm[np.arange(m), assign]
     other_mean = (dm.sum(axis=1) - own) / (k - 1)
 

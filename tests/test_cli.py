@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _datasets import redundant_groups, write_csv
-from sepselect.cli import main
+from sepselect.cli import _run_config, build_parser, main
+from sepselect.pipeline import SelectionConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,50 @@ class TestSelect:
         args.remove("--output-dir")
         assert main(args + ["--k-max", "5"]) == 0
         assert os.path.exists(os.path.join(envdir, "report.txt"))
+
+    def test_unknown_environment_settings_are_ignored(self, csv_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEPSELECT_THREADS", "x")
+        assert main(_select_args(csv_path, str(tmp_path / "env"), ["--k-max", "5"])) == 0
+
+    def test_config_echo_lists_every_selection_setting(self, csv_path, tmp_path):
+        outdir = str(tmp_path / "echo")
+        assert main(_select_args(csv_path, outdir, ["--k-max", "5"])) == 0
+        report = open(os.path.join(outdir, "report.txt")).read().splitlines()
+        start = report.index("config:")
+        assert report[start + 1:start + 11] == [
+            f"  input: {csv_path}",
+            "  label_column: label",
+            "  seed: 11",
+            "  perplexity: 4.0",
+            "  tsne_iterations: 120",
+            "  fold_count: 4",
+            "  k_max: 5",
+            "  knee_sensitivity: 1.0",
+            "  smoothing_window: 0",
+            "  n_neighbors: 5",
+        ]
+        assert report[start + 11] == ""
+
+
+class TestRunConfig:
+    def test_omitted_selection_options_take_selection_config_defaults(self):
+        args = build_parser().parse_args(
+            ["select", "--input", "x.csv", "--label", "label", "--seed", "3"]
+        )
+        assert _run_config(args).selection == SelectionConfig(seed=3)
+
+    def test_given_options_land_on_their_fields(self):
+        args = build_parser().parse_args(
+            ["compare", "--input", "x.csv", "--label", "label", "--seed", "3",
+             "--folds", "4", "--k-max", "9", "--smoothing-window", "2"]
+        )
+        assert _run_config(args).selection == SelectionConfig(
+            seed=3, fold_count=4, k_max=9, smoothing_window=2
+        )
+
+    def test_threads_flag_is_gone(self, csv_path):
+        assert main(["select", "--input", csv_path, "--label", "label", "--seed", "1",
+                     "--threads", "2"]) == 1
 
 
 class TestUsageErrors:

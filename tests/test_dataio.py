@@ -40,6 +40,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*column 'f2'"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # the blank line is skipped but still counted, as a data row number
+        path = _write(tmp_path, f"f1,f2,label\n1,2,a\n\n3,4,b\n5,{cell},a\n")
+        with pytest.raises(DataError, match=rf"non-finite value {cell} at data row 4, column 'f2'"):
+            load_csv(path, "label")
+
     def test_single_class_rejected(self, tmp_path):
         path = _write(tmp_path, "f1,f2,label\n1,2,a\n3,4,a\n")
         with pytest.raises(DataError, match="fewer than 2 classes"):

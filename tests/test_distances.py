@@ -1,0 +1,42 @@
+import numpy as np
+
+from sepselect.distances import cross, squared_pairwise
+
+
+def _points_with_duplicates():
+    rng = np.random.default_rng(4)
+    x = rng.random((12, 5))  # the [0, 1] scale of normalized data
+    x[7] = x[2]
+    x[11] = x[2]
+    return x
+
+
+class TestCross:
+    def test_duplicate_rows_are_exactly_zero(self):
+        x = _points_with_duplicates()
+        d = cross(x, x)
+        assert d[2, 7] == 0.0 and d[7, 11] == 0.0 and d[11, 2] == 0.0
+        assert np.all(np.diag(d) == 0.0)
+
+    def test_symmetric_on_one_set(self):
+        x = _points_with_duplicates()
+        d = cross(x, x)
+        assert np.array_equal(d, d.T)
+
+    def test_rectangular_against_subset(self):
+        x = _points_with_duplicates()
+        d = cross(x, x[[2, 5]])
+        assert d.shape == (12, 2)
+        assert d[5, 1] == 0.0 and d[7, 0] == 0.0
+        assert d[0, 1] == np.sqrt(np.sum((x[0] - x[5]) ** 2))
+
+
+class TestSquaredPairwise:
+    def test_non_negative_with_zero_diagonal(self):
+        d2 = squared_pairwise(_points_with_duplicates())
+        assert np.all(d2 >= 0.0)
+        assert np.all(np.diag(d2) == 0.0)
+
+    def test_matches_difference_form(self):
+        x = _points_with_duplicates()
+        assert np.allclose(squared_pairwise(x), cross(x, x) ** 2, rtol=0.0, atol=1e-12)

@@ -102,13 +102,6 @@ class TestMssCurve:
         curve = mss_curve_cv(redundant, cfg)
         assert curve.ks.tolist() == list(range(2, 9))
 
-    def test_threads_do_not_change_results(self, redundant):
-        cfg1 = small_cfg(perplexity=12.0, tsne_iterations=100, k_max=10, threads=1)
-        cfg4 = small_cfg(perplexity=12.0, tsne_iterations=100, k_max=10, threads=4)
-        a = mss_curve_cv(redundant, cfg1)
-        b = mss_curve_cv(redundant, cfg4)
-        assert np.array_equal(a.fold_values, b.fold_values, equal_nan=True)
-
 
 class TestSelectFeatures:
     def test_duplicate_groups_pick_one_per_group(self, duplicate_groups):
