@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DataError
 from .separability import VAR_FLOOR
 
+DEFAULT_RELIEFF_NEIGHBORS = 10
+
 
 @dataclass
 class RankedFeatures:
@@ -48,7 +50,7 @@ def fisher_scores(d):
     return _ranked(numer / denom)
 
 
-def relieff_weights(d, neighbors=10, sample_count=None, seed=0):
+def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, seed=0):
     """ReliefF weights: reward features that differ on nearest other-class
     instances (misses, prior-weighted per class) and penalize differences
     on nearest same-class instances (hits).

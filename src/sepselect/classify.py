@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DataError
 
+DEFAULT_NEIGHBORS = 5
+
 
 @dataclass
 class EvalReport:
@@ -27,7 +29,7 @@ class EvalReport:
     predictions: np.ndarray
 
 
-def knn_predict(train, test, subset, n_neighbors=5):
+def knn_predict(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
     """Majority label among the n_neighbors Euclidean-nearest train rows,
     restricted to the subset columns.
 
@@ -102,7 +104,7 @@ def _paired(pred, truth):
     return pred, truth
 
 
-def evaluate(train, test, subset, n_neighbors=5):
+def evaluate(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
     """Timed KNN run plus metrics against the test labels."""
     t0 = time.perf_counter()
     preds = knn_predict(train, test, subset, n_neighbors=n_neighbors)

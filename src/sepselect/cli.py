@@ -15,8 +15,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import cfs_select, fisher_scores, random_select, relieff_weights
-from .classify import evaluate
+from .baselines import (
+    DEFAULT_RELIEFF_NEIGHBORS,
+    cfs_select,
+    fisher_scores,
+    random_select,
+    relieff_weights,
+)
+from .classify import DEFAULT_NEIGHBORS, evaluate
 from .dataio import SplitSpec, load_csv, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
@@ -85,7 +91,9 @@ def build_parser():
             selection("--k-max", "k_max", int, "cap the clustering sweep")
             selection("--knee-sensitivity", "knee_sensitivity", float)
             selection("--smoothing-window", "smoothing_window", int)
-        p.add_argument("--neighbors", type=int, default=5, help="KNN neighbor count")
+        p.add_argument(
+            "--neighbors", type=int, default=DEFAULT_NEIGHBORS, help="KNN neighbor count"
+        )
 
     p_select = sub.add_parser("select", help="run the full selection pipeline")
     common(p_select)
@@ -102,14 +110,14 @@ def build_parser():
     )
     common(p_compare)
     p_compare.add_argument("--repetitions", type=int, default=10)
-    p_compare.add_argument("--relieff-neighbors", type=int, default=10)
+    p_compare.add_argument("--relieff-neighbors", type=int, default=DEFAULT_RELIEFF_NEIGHBORS)
     p_compare.set_defaults(func=cmd_compare)
 
     p_base = sub.add_parser("baseline", help="run one baseline filter at a given k")
     common(p_base, with_selection=False)
     p_base.add_argument("--method", required=True, choices=_BASELINES)
     p_base.add_argument("--k", type=int, required=True)
-    p_base.add_argument("--relieff-neighbors", type=int, default=10)
+    p_base.add_argument("--relieff-neighbors", type=int, default=DEFAULT_RELIEFF_NEIGHBORS)
     p_base.set_defaults(func=cmd_baseline)
 
     p_eval = sub.add_parser("evaluate", help="KNN-evaluate a feature subset")
@@ -119,7 +127,7 @@ def build_parser():
         required=True,
         help="comma-separated feature indices or names, or 'all'",
     )
-    p_eval.add_argument("--train-fraction", type=float, default=0.75)
+    p_eval.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_embed = sub.add_parser("embed-only", help="export the feature embedding")

@@ -227,3 +227,23 @@ def make_folds(d, s):
         train_idx = np.sort(np.concatenate([c for j, c in enumerate(chunks) if j != i]))
         folds.append((d.select_rows(train_idx), d.select_rows(val_idx)))
     return folds
+
+
+def check_fold_classes(d, folds):
+    """Raise DataError unless every class of d has samples in both parts of
+    every fold: the separability matrix of a part needs every class.
+
+    Folds are not stratified, so a class with few samples can miss a part.
+    """
+    sizes = np.bincount(d.label_codes(), minlength=d.n_classes)
+    counts = dict(zip(d.class_ids, sizes.tolist()))
+    for i, parts in enumerate(folds):
+        for part_name, part in zip(("train", "validation"), parts):
+            present = set(part.labels.tolist())
+            for c in d.class_ids:
+                if c not in present:
+                    raise DataError(
+                        f"class '{c}' has {counts[c]} samples, none of them in the "
+                        f"{part_name} part of fold {i} (fold_count={len(folds)}); "
+                        "every class needs samples in both parts of every fold"
+                    )

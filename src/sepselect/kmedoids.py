@@ -6,6 +6,14 @@ first defence against bad local optima; a single best-swap run can still
 stall on unstructured point clouds, so a few seeded restarts are taken
 and the cheapest result kept.
 
+Cost model: pam_cluster builds the (M, M) distance matrix once and every
+restart reads it. A swap round evaluates all k * (M - k) exchanges in
+O(M * (M - k)) array work: the second-nearest medoid distance comes from a
+partial sort, and the per-medoid sums of the loss terms from one grouped
+reduction rather than a loop over the k medoids. Every sum is taken in
+the same order as the plain per-medoid loop, so results do not depend on
+this vectorization down to the last bit.
+
 Determinism contract: ties in nearest-medoid assignment go to the lowest
 medoid index, the applied swap is the lexicographically first cost
 minimizer, the medoid list is kept sorted ascending, and restart seeds
@@ -63,19 +71,20 @@ def kmeanspp_init(points, k, seed):
         raise DataError(f"k must be in [2, {m}], got {k}")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(m))]
-    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)  # exactly 0 at chosen points
     for _ in range(k - 1):
-        weights = d2.copy()
-        weights[chosen] = 0.0
-        total = weights.sum()
+        total = d2.sum()
         if total > 0.0:
-            nxt = int(rng.choice(m, p=weights / total))
+            # the draw of Generator.choice(m, p=d2 / total), without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            nxt = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             # every remaining point coincides with a chosen center
             remaining = np.setdiff1d(np.arange(m), chosen)
             nxt = int(rng.choice(remaining))
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+        np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=d2)
     return np.array(chosen, dtype=int)
 
 
@@ -99,11 +108,19 @@ def pam_cluster(points, k, seed, restarts=3, cost_log=None):
     """
     if restarts < 1:
         raise DataError("restarts must be >= 1")
+    pts = _as_matrix(points)
+    m = pts.shape[0]
+    if not 2 <= k <= m:
+        raise DataError(f"k must be in [2, {m}], got {k}")
+    if not np.all(np.isfinite(pts)):
+        raise NumericalError("non-finite coordinates")
+    dist = np.sqrt(squared_pairwise(pts))  # shared by every restart
+
     best, best_log = None, None
     for r in range(restarts):
         run_seed = int(np.random.SeedSequence([int(seed), r]).generate_state(1)[0])
         log = [] if cost_log is not None else None
-        result = _pam_single(points, k, run_seed, log)
+        result = _pam_single(pts, dist, k, run_seed, log)
         if best is None or result.cost < best.cost - _IMPROVEMENT_EPS:
             best, best_log = result, log
     if cost_log is not None:
@@ -111,23 +128,43 @@ def pam_cluster(points, k, seed, restarts=3, cost_log=None):
     return best
 
 
-def _pam_single(points, k, seed, cost_log=None):
-    pts = _as_matrix(points)
-    m = pts.shape[0]
-    if not 2 <= k <= m:
-        raise DataError(f"k must be in [2, {m}], got {k}")
-    if not np.all(np.isfinite(pts)):
-        raise NumericalError("non-finite coordinates")
+def _swap_deltas(d_cand, nearest, second, assignment, k):
+    """(k, |candidates|) cost deltas of swapping the medoid at each position
+    for each candidate, given the (M, |candidates|) candidate distances.
 
-    dist = np.sqrt(squared_pairwise(pts))
+    Decomposed so the work is O(M * |candidates|) instead of k times that:
+    points not assigned to `pos` contribute min(0, D_ih - nearest_i),
+    points assigned to it contribute min(D_ih, second_i) - nearest_i.
+    """
+    keep_term = np.minimum(d_cand - nearest[:, None], 0.0)
+    lose_term = np.minimum(d_cand, second[:, None]) - nearest[:, None]
+    base = keep_term.sum(axis=0)
+    correction = lose_term - keep_term
+    # per-position sums of the correction rows, all positions at once: each
+    # position's rows go, in index order, into its own zero-padded slab, and
+    # summing a slab over its rows accumulates row by row, exactly as the
+    # masked correction[assignment == pos].sum(axis=0) does (with a single
+    # candidate both sums are pairwise instead, but then k = M - 1 and no
+    # slab has more than two rows, where every order agrees)
+    by_position = np.argsort(assignment, kind="stable")
+    grouped = assignment[by_position]
+    starts = np.searchsorted(grouped, np.arange(k))
+    rank = np.arange(len(grouped)) - starts[grouped]
+    slabs = np.zeros((k, int(rank.max()) + 1, d_cand.shape[1]))
+    slabs[grouped, rank] = correction[by_position]
+    return base + slabs.sum(axis=1)
+
+
+def _pam_single(pts, dist, k, seed, cost_log=None):
+    m = pts.shape[0]
     medoids = np.sort(kmeanspp_init(pts, k, seed))
+    positions = np.arange(k)
 
     for _ in range(_MAX_SWAP_ROUNDS):
         cols = dist[:, medoids]
         assignment, nearest = _assign(cols)
         # pin each medoid to its own cluster (ties with a coincident medoid
         # would otherwise send it to the lower index)
-        positions = np.arange(k)
         assignment[medoids] = positions
         cost = float(nearest.sum())
         if cost_log is not None:
@@ -135,21 +172,11 @@ def _pam_single(points, k, seed, cost_log=None):
         if k == m:
             break
 
-        order = np.argsort(cols, axis=1)
-        second = cols[np.arange(m), order[:, 1]]
-        candidates = np.setdiff1d(np.arange(m), medoids)
-        # cost delta of swapping medoid at `pos` for candidate h, decomposed
-        # so the work is O(M * |candidates|) per round instead of k times that:
-        # points not assigned to `pos` contribute min(0, D_ih - nearest_i),
-        # points assigned to it contribute min(D_ih, second_i) - nearest_i
-        d_cand = dist[:, candidates]
-        keep_term = np.minimum(d_cand - nearest[:, None], 0.0)
-        lose_term = np.minimum(d_cand, second[:, None]) - nearest[:, None]
-        base = keep_term.sum(axis=0)
-        correction = lose_term - keep_term
-        deltas = np.empty((k, len(candidates)))
-        for pos in range(k):
-            deltas[pos] = base + correction[assignment == pos].sum(axis=0)
+        second = np.partition(cols, 1, axis=1)[:, 1]
+        is_candidate = np.ones(m, dtype=bool)
+        is_candidate[medoids] = False
+        candidates = np.flatnonzero(is_candidate)
+        deltas = _swap_deltas(dist[:, candidates], nearest, second, assignment, k)
         flat_best = int(np.argmin(deltas))  # first minimum = lowest pair index
         if float(deltas.flat[flat_best]) < -_IMPROVEMENT_EPS:
             pos, cand = divmod(flat_best, len(candidates))
@@ -159,7 +186,7 @@ def _pam_single(points, k, seed, cost_log=None):
 
     cols = dist[:, medoids]
     assignment, nearest = _assign(cols)
-    assignment[medoids] = np.arange(k)
+    assignment[medoids] = positions
     return ClusteringResult(
         medoids=medoids, assignment=assignment, cost=float(nearest.sum())
     )

@@ -5,10 +5,12 @@ Fold loop: each fold builds its own separability matrix and embedding on
 the train part, clusters it for every k, and scores the chosen medoid
 features against the validation part. Out-of-sample projection of a
 fold's embedding is ill-defined, so validation scoring happens in the
-raw separability space of the validation part: its matrix is rebuilt,
-every feature is assigned to the nearest medoid feature there, and the
-validity index is evaluated on that geometry. The strategy is isolated
-in validation_mss() so an alternative reading is a one-function change.
+raw separability space of the validation part: its matrix is rebuilt
+and its feature-to-feature distances computed once per fold, then for
+every k each feature is assigned to the nearest medoid feature there and
+the validity index is evaluated on that geometry. The strategy is
+isolated in validation_mss() so an alternative reading is a one-function
+change.
 
 Seeds: the final full-train embedding uses the base seed; fold f uses
 base + 1 + f. Per-(stage, k) clustering seeds are derived through
@@ -20,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import SplitSpec, make_folds
+from .dataio import SplitSpec, check_fold_classes, make_folds
 from .distances import cross
 from .errors import DataError
-from .kmedoids import ClusteringResult, _assign, pam_cluster
+from .kmedoids import _assign, pam_cluster
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
 from .tsne import Embedding, TsneConfig, embed
-from .validity import mss, silhouette, simplified_silhouette
+from .validity import mss, mss_from_distances, silhouette, simplified_silhouette
 
 
 @dataclass
@@ -88,20 +90,29 @@ def _derived_seed(base, stage, k):
     return int(np.random.SeedSequence([int(base), int(stage), int(k)]).generate_state(1)[0])
 
 
-def nearest_medoid_clustering(points, medoid_ids):
-    """Assign every point to its nearest medoid point (ties: lowest medoid
-    index); the scoring geometry for validation folds."""
-    pts = np.asarray(points, dtype=float)
-    medoids = np.sort(np.asarray(medoid_ids, dtype=int))
-    assignment, nearest = _assign(cross(pts, pts[medoids]))
-    return ClusteringResult(medoids=medoids, assignment=assignment, cost=float(nearest.sum()))
+def validation_distances(z_val):
+    """(M, M) raw-space distances among the features of a validation part,
+    built one column at a time: column j is cross(z, z[j:j+1]), bitwise
+    equal to the matching column of any cross(z, z[medoids]), without the
+    (M, M, pair-count) temporary of a single cross(z, z)."""
+    z = z_val.z
+    d_val = np.empty((z.shape[0], z.shape[0]))
+    for j in range(z.shape[0]):
+        d_val[:, j] = cross(z, z[j : j + 1])[:, 0]
+    return d_val
 
 
-def validation_mss(z_val, medoid_features):
-    """Validity of train-fold medoid features against a validation fold,
-    computed in the validation part's raw separability space."""
-    clustering = nearest_medoid_clustering(z_val.z, medoid_features)
-    report = mss(z_val.z, clustering)
+def validation_mss(d_val, medoid_features):
+    """Validity of train-fold medoid features against a validation fold:
+    every feature goes to its nearest medoid feature (ties: lowest medoid
+    index) in the validation part's raw separability space, whose distances
+    d_val come from validation_distances()."""
+    medoids = np.sort(np.asarray(medoid_features, dtype=int))
+    # a C-ordered copy: the column slice is F-ordered, and its row sums
+    # would round differently from those of a freshly computed matrix
+    cols = np.ascontiguousarray(d_val[:, medoids])
+    assignment, _ = _assign(cols)
+    report = mss_from_distances(cols, assignment)
     return np.nan if report.aggregate is None else report.aggregate
 
 
@@ -120,14 +131,15 @@ def mss_curve_cv(train, cfg):
         raise DataError(f"k sweep [2, {k_hi}] too short for knee detection")
 
     folds = make_folds(train, SplitSpec(fold_count=cfg.fold_count, seed=cfg.seed))
+    check_fold_classes(train, folds)
     fold_values = np.full((cfg.fold_count, len(ks)), np.nan)
     for f, (tr_part, val_part) in enumerate(folds):
         z_tr = build_feature_space(tr_part)
-        z_val = build_feature_space(val_part)
+        d_val = validation_distances(build_feature_space(val_part))
         emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
         for j, k in enumerate(ks):
             clustering = pam_cluster(emb.coords, int(k), _derived_seed(cfg.seed, f + 1, k))
-            fold_values[f, j] = validation_mss(z_val, clustering.medoids)
+            fold_values[f, j] = validation_mss(d_val, clustering.medoids)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns

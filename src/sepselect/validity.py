@@ -113,20 +113,24 @@ def mss(points, clustering, counter=None):
     to verify. Returns aggregate None when every cluster is a singleton.
     """
     pts = _check_clustering(points, clustering)
-    m = pts.shape[0]
-    k = clustering.k
-    assign = clustering.assignment
-    sizes = clustering.cluster_sizes()
-
     dm = cross(pts, pts[clustering.medoids])
     if counter is not None:
         counter.evaluations += dm.size
-    own = dm[np.arange(m), assign]
-    other_mean = (dm.sum(axis=1) - own) / (k - 1)
+    return mss_from_distances(dm, clustering.assignment)
+
+
+def mss_from_distances(dist_cols, assignment):
+    """mss from the (M, k) point-to-medoid distances and each point's
+    cluster position; dist_cols must be C-ordered, since its row sums
+    are part of the result and their rounding follows the memory order."""
+    m, k = dist_cols.shape
+    sizes = np.bincount(assignment, minlength=k)
+    own = dist_cols[np.arange(m), assignment]
+    other_mean = (dist_cols.sum(axis=1) - own) / (k - 1)
 
     with np.errstate(invalid="ignore"):
         values = np.where(other_mean > 0.0, 1.0 - own / other_mean, 0.0)
-    included = sizes[assign] > 1
+    included = sizes[assignment] > 1
     per_point = np.where(included, values, np.nan)
     if not included.any():
         return IndexReport(per_point, included, None)

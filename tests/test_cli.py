@@ -1,10 +1,14 @@
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 from _datasets import redundant_groups, write_csv
+from sepselect.baselines import relieff_weights
+from sepselect.classify import evaluate
 from sepselect.cli import _run_config, build_parser, main
+from sepselect.dataio import SplitSpec
 from sepselect.pipeline import SelectionConfig
 
 
@@ -127,6 +131,22 @@ class TestRunConfig:
         assert _run_config(args).selection == SelectionConfig(
             seed=3, fold_count=4, k_max=9, smoothing_window=2
         )
+
+    def test_other_defaults_match_the_functions_they_feed(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        common = ["--input", "x.csv", "--label", "label", "--seed", "3"]
+        parser = build_parser()
+        assert parser.parse_args(["select", *common]).neighbors == default(
+            evaluate, "n_neighbors"
+        )
+        relieff = default(relieff_weights, "neighbors")
+        assert parser.parse_args(["compare", *common]).relieff_neighbors == relieff
+        base = parser.parse_args(["baseline", *common, "--method", "relieff", "--k", "2"])
+        assert base.relieff_neighbors == relieff
+        evaluate_args = parser.parse_args(["evaluate", *common, "--features", "all"])
+        assert evaluate_args.train_fraction == SplitSpec().train_fraction
 
     def test_threads_flag_is_gone(self, csv_path):
         assert main(["select", "--input", csv_path, "--label", "label", "--seed", "1",

@@ -4,6 +4,7 @@ import pytest
 from sepselect.dataio import (
     Dataset,
     SplitSpec,
+    check_fold_classes,
     load_csv,
     make_folds,
     minmax_normalize,
@@ -160,6 +161,42 @@ class TestFolds:
         for (a, b), (c, e) in zip(f1, f2):
             assert np.array_equal(a.instances, c.instances)
             assert np.array_equal(b.instances, e.instances)
+
+
+def _rare_class(n=60, rare=3, seed=0):
+    # n rows of classes a/b plus `rare` rows of class r
+    rng = np.random.default_rng(seed)
+    labels = ["a", "b"] * ((n - rare) // 2) + ["a"] * ((n - rare) % 2) + ["r"] * rare
+    return _dataset([rng.normal(size=n), rng.normal(size=n)], labels)
+
+
+class TestFoldClasses:
+    def test_balanced_folds_pass(self):
+        d = _big(100)
+        check_fold_classes(d, make_folds(d, SplitSpec(seed=3)))
+
+    def test_class_missing_from_a_validation_part_is_named(self):
+        # 3 samples of r cannot reach all 5 validation parts
+        d = _rare_class()
+        with pytest.raises(
+            DataError,
+            match=r"class 'r' has 3 samples, none of them in the validation part "
+            r"of fold \d \(fold_count=5\)",
+        ):
+            check_fold_classes(d, make_folds(d, SplitSpec(seed=0)))
+
+    def test_class_missing_from_a_train_part_is_named(self):
+        # the single sample of r lies in fold 0's validation part, so fold
+        # 0's train part has none
+        d = _rare_class(rare=1)
+        folds = make_folds(d, SplitSpec(fold_count=2, seed=3))
+        assert "r" in folds[0][1].labels.tolist()
+        with pytest.raises(
+            DataError,
+            match=r"class 'r' has 1 samples, none of them in the train part "
+            r"of fold 0 \(fold_count=2\)",
+        ):
+            check_fold_classes(d, folds)
 
 
 class TestDatasetInvariants:

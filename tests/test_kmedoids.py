@@ -2,10 +2,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _datasets import gaussian_blobs
+from sepselect import kmedoids
 from sepselect.errors import DataError
-from sepselect.kmedoids import kmeanspp_init, pam_cluster
+from sepselect.kmedoids import _assign, _swap_deltas, kmeanspp_init, pam_cluster
 
 
 def brute_force_best(points, k):
@@ -23,7 +26,51 @@ def brute_force_best(points, k):
     return best_cost, best_set
 
 
+def choice_kmeanspp(points, k, seed):
+    """k-means++ seeding drawn with Generator.choice(m, p=...); the oracle
+    for the inline draw."""
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(m))]
+    d2 = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    for _ in range(k - 1):
+        weights = d2.copy()
+        weights[chosen] = 0.0
+        total = weights.sum()
+        if total > 0.0:
+            nxt = int(rng.choice(m, p=weights / total))
+        else:
+            nxt = int(rng.choice(np.setdiff1d(np.arange(m), chosen)))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, np.sum((pts - pts[nxt]) ** 2, axis=1))
+    return np.array(chosen, dtype=int)
+
+
+@st.composite
+def point_clouds(draw):
+    """(points, k): small clouds on a coarse grid, so duplicates are common,
+    or with free float coordinates."""
+    m = draw(st.integers(2, 25))
+    dims = draw(st.integers(1, 3))
+    coarse = draw(st.booleans())
+    coord = (
+        st.integers(-2, 2).map(float)
+        if coarse
+        else st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    )
+    flat = draw(st.lists(coord, min_size=m * dims, max_size=m * dims))
+    k = draw(st.integers(2, m))
+    return np.array(flat).reshape(m, dims), k
+
+
 class TestKmeansppInit:
+    @settings(max_examples=300, deadline=None)
+    @given(cloud=point_clouds(), seed=st.integers(0, 2**32 - 1))
+    def test_inline_draw_equals_generator_choice(self, cloud, seed):
+        points, k = cloud
+        assert np.array_equal(kmeanspp_init(points, k, seed), choice_kmeanspp(points, k, seed))
+
     def test_k_equals_m_selects_all(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(7, 2))
@@ -151,6 +198,18 @@ class TestPamCluster:
         assert np.array_equal(a.assignment, b.assignment)
         assert a.cost == b.cost
 
+    def test_restarts_share_one_distance_matrix(self, monkeypatch):
+        calls = []
+        real = kmedoids.squared_pairwise
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(kmedoids, "squared_pairwise", counting)
+        pam_cluster(np.random.default_rng(2).normal(size=(30, 2)), 4, seed=1, restarts=3)
+        assert calls == [(30, 2)]
+
     def test_rejects_bad_input(self):
         pts = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(DataError):
@@ -161,3 +220,29 @@ class TestPamCluster:
 
         with pytest.raises(NumericalError):
             pam_cluster(bad, 2, seed=0)
+
+
+class TestSwapDeltas:
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds(), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_per_medoid_masked_sums(self, cloud, seed):
+        # a swap-round state as PAM builds it: sorted medoids, nearest-medoid
+        # assignment with each medoid pinned to its own position
+        points, k = cloud
+        m = points.shape[0]
+        if k == m:
+            return  # no candidates, no swap round
+        dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+        medoids = np.sort(np.random.default_rng(seed).choice(m, size=k, replace=False))
+        cols = dist[:, medoids]
+        assignment, nearest = _assign(cols)
+        assignment[medoids] = np.arange(k)
+        second = np.sort(cols, axis=1)[:, 1]
+        d_cand = dist[:, np.setdiff1d(np.arange(m), medoids)]
+
+        keep_term = np.minimum(d_cand - nearest[:, None], 0.0)
+        lose_term = np.minimum(d_cand, second[:, None]) - nearest[:, None]
+        base = keep_term.sum(axis=0)
+        correction = lose_term - keep_term
+        expected = np.array([base + correction[assignment == pos].sum(axis=0) for pos in range(k)])
+        assert np.array_equal(_swap_deltas(d_cand, nearest, second, assignment, k), expected)

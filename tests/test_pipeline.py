@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from _datasets import redundant_groups
-from sepselect.dataio import minmax_normalize
+from sepselect.dataio import Dataset, minmax_normalize
 from sepselect.errors import DataError
 from sepselect.pipeline import (
     SelectionConfig,
     index_curves,
     mss_curve_cv,
-    nearest_medoid_clustering,
     select_at_k,
     select_features,
+    validation_distances,
     validation_mss,
 )
-from sepselect.separability import SeparabilityMatrix
+from sepselect.distances import cross
+from sepselect.kmedoids import ClusteringResult, _assign
+from sepselect.separability import SeparabilityMatrix, build_feature_space
 from sepselect.validity import mss
 
 
@@ -47,23 +49,53 @@ def duplicate_groups():
     return minmax_normalize(d), groups
 
 
+def _validation_mss(z, medoids):
+    return validation_mss(validation_distances(SeparabilityMatrix(z=np.asarray(z, float))), medoids)
+
+
 class TestValidationScoring:
     def test_matches_hand_worked_raw_space_value(self):
-        z_val = SeparabilityMatrix(z=np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]]))
-        value = validation_mss(z_val, [0, 2])
+        value = _validation_mss([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]], [0, 2])
         assert value == pytest.approx(np.mean([1.0, 1 - 1 / 9, 1.0, 1 - 1 / 11]), abs=1e-12)
 
     def test_assignment_is_nearest_with_low_index_ties(self):
-        pts = np.array([[0.0], [0.0], [5.0], [5.5]])
-        cl = nearest_medoid_clustering(pts, [2, 1, 0])  # unsorted input tolerated
-        assert cl.medoids.tolist() == [0, 1, 2]
-        # coincident medoids 0/1 tie for points 0 and 1: both go to index 0,
-        # leaving medoid 1's cluster empty; point 3 goes to its nearest (2)
-        assert cl.assignment.tolist() == [0, 0, 2, 2]
+        # unsorted medoids tolerated; coincident medoids 0/1 tie for points 0
+        # and 1: both go to index 0, leaving medoid 1's cluster empty, and
+        # point 3 goes to its nearest (2). Every point is then in a cluster of
+        # two; had the tie gone to index 1, points 0 and 1 would be singletons
+        # and drop out of the mean.
+        value = _validation_mss([[0.0], [0.0], [5.0], [5.5]], [2, 1, 0])
+        assert value == pytest.approx(np.mean([1.0, 1.0, 1.0, 1 - 1 / 11]), abs=1e-12)
 
     def test_undefined_when_every_cluster_singleton(self):
-        z_val = SeparabilityMatrix(z=np.array([[0.0, 0.0], [3.0, 0.0], [9.0, 1.0]]))
-        assert np.isnan(validation_mss(z_val, [0, 1, 2]))
+        assert np.isnan(_validation_mss([[0.0, 0.0], [3.0, 0.0], [9.0, 1.0]], [0, 1, 2]))
+
+    def test_distance_columns_equal_cross_columns(self):
+        z = np.random.default_rng(2).random((9, 5))
+        d_val = validation_distances(SeparabilityMatrix(z=z))
+        assert np.array_equal(d_val, cross(z, z))
+
+    def test_bitwise_equal_to_mss_of_nearest_medoid_clustering(self):
+        # C = 8 classes and 30 independent features; every k up to M, so many
+        # row sums run over >= 8 medoid columns, whose rounding depends on
+        # the memory order of the sliced columns
+        d, _ = redundant_groups(
+            n_instances=160, n_classes=8, group_sizes=[1] * 30, noise=1.0, seed=4
+        )
+        z = build_feature_space(minmax_normalize(d)).z
+        m = z.shape[0]
+        d_val = validation_distances(SeparabilityMatrix(z=z))
+        rng = np.random.default_rng(5)
+        for k in range(2, m + 1):
+            for _ in range(3):
+                medoids = np.sort(rng.choice(m, size=k, replace=False))
+                assignment, _ = _assign(cross(z, z[medoids]))
+                oracle = mss(z, ClusteringResult(medoids, assignment, 0.0)).aggregate
+                value = validation_mss(d_val, medoids)
+                if oracle is None:
+                    assert np.isnan(value)
+                else:
+                    assert value == oracle, k
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +173,19 @@ class TestSelectFeatures:
         trimmed.feature_names = [data.feature_names[j] for j in keep]
         reduced = select_features(trimmed, small_cfg())
         assert reduced.k_min <= base.k_min + 1
+
+    def test_rare_class_is_rejected_before_any_fold_work(self):
+        # 3 of 60 samples in class r: some fold part gets none of them;
+        # this once failed inside the separability matrix with
+        # "class 'r' has no samples"
+        rng = np.random.default_rng(0)
+        labels = np.array(["a", "b"] * 28 + ["a"] + ["r"] * 3, dtype=object)
+        data = Dataset(rng.random((60, 6)), labels, [f"f{j}" for j in range(6)], ["a", "b", "r"])
+        with pytest.raises(
+            DataError, match=r"class 'r' has 3 samples, none of them in the \w+ part of fold \d "
+            r"\(fold_count=5\)"
+        ):
+            select_features(data, small_cfg())
 
     def test_config_validation(self):
         with pytest.raises(DataError):
