@@ -8,11 +8,12 @@ and the cheapest result kept.
 
 Cost model: pam_cluster builds the (M, M) distance matrix once and every
 restart reads it. A swap round evaluates all k * (M - k) exchanges in
-O(M * (M - k)) array work: the second-nearest medoid distance comes from a
-partial sort, and the per-medoid sums of the loss terms from one grouped
-reduction rather than a loop over the k medoids. Every sum is taken in
-the same order as the plain per-medoid loop, so results do not depend on
-this vectorization down to the last bit.
+O(M * (M - k)) time and memory whatever the cluster sizes: the
+second-nearest medoid distance comes from a partial sort, and the
+per-medoid sums of the loss terms from one weighted bincount over
+(medoid, candidate) bins rather than a loop over the k medoids. Every sum
+is taken in the same order as the plain per-medoid loop, so results do
+not depend on this vectorization down to the last bit.
 
 Determinism contract: ties in nearest-medoid assignment go to the lowest
 medoid index, the applied swap is the lexicographically first cost
@@ -74,6 +75,8 @@ def kmeanspp_init(points, k, seed):
     d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)  # exactly 0 at chosen points
     for _ in range(k - 1):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NumericalError("non-finite coordinates or overflowing squared distances")
         if total > 0.0:
             # the draw of Generator.choice(m, p=d2 / total), without its checks
             cdf = (d2 / total).cumsum()
@@ -140,19 +143,16 @@ def _swap_deltas(d_cand, nearest, second, assignment, k):
     lose_term = np.minimum(d_cand, second[:, None]) - nearest[:, None]
     base = keep_term.sum(axis=0)
     correction = lose_term - keep_term
-    # per-position sums of the correction rows, all positions at once: each
-    # position's rows go, in index order, into its own zero-padded slab, and
-    # summing a slab over its rows accumulates row by row, exactly as the
-    # masked correction[assignment == pos].sum(axis=0) does (with a single
-    # candidate both sums are pairwise instead, but then k = M - 1 and no
-    # slab has more than two rows, where every order agrees)
-    by_position = np.argsort(assignment, kind="stable")
-    grouped = assignment[by_position]
-    starts = np.searchsorted(grouped, np.arange(k))
-    rank = np.arange(len(grouped)) - starts[grouped]
-    slabs = np.zeros((k, int(rank.max()) + 1, d_cand.shape[1]))
-    slabs[grouped, rank] = correction[by_position]
-    return base + slabs.sum(axis=1)
+    # per-position sums of the correction rows, all positions at once:
+    # bincount adds its weights in input order, so each (position,
+    # candidate) bin accumulates its rows one by one in index order, exactly
+    # as the masked correction[assignment == pos].sum(axis=0) does (with a
+    # single candidate that sum goes pairwise instead, but then k = M - 1 and
+    # no position has more than two rows, where every order agrees)
+    c = d_cand.shape[1]
+    bins = (assignment[:, None] * c + np.arange(c)).ravel()
+    sums = np.bincount(bins, weights=correction.ravel(), minlength=k * c)
+    return base + sums.reshape(k, c)
 
 
 def _pam_single(pts, dist, k, seed, cost_log=None):

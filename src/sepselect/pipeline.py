@@ -108,9 +108,7 @@ def validation_mss(d_val, medoid_features):
     index) in the validation part's raw separability space, whose distances
     d_val come from validation_distances()."""
     medoids = np.sort(np.asarray(medoid_features, dtype=int))
-    # a C-ordered copy: the column slice is F-ordered, and its row sums
-    # would round differently from those of a freshly computed matrix
-    cols = np.ascontiguousarray(d_val[:, medoids])
+    cols = d_val[:, medoids]
     assignment, _ = _assign(cols)
     report = mss_from_distances(cols, assignment)
     return np.nan if report.aggregate is None else report.aggregate

@@ -121,8 +121,10 @@ def mss(points, clustering, counter=None):
 
 def mss_from_distances(dist_cols, assignment):
     """mss from the (M, k) point-to-medoid distances and each point's
-    cluster position; dist_cols must be C-ordered, since its row sums
-    are part of the result and their rounding follows the memory order."""
+    cluster position. The row sums are part of the result and their
+    rounding follows the memory order, so a column slice (F-ordered) is
+    first copied to C order; C-ordered input is used as is."""
+    dist_cols = np.ascontiguousarray(dist_cols)
     m, k = dist_cols.shape
     sizes = np.bincount(assignment, minlength=k)
     own = dist_cols[np.arange(m), assignment]

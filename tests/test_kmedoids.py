@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _datasets import gaussian_blobs
 from sepselect import kmedoids
-from sepselect.errors import DataError
+from sepselect.errors import DataError, NumericalError
 from sepselect.kmedoids import _assign, _swap_deltas, kmeanspp_init, pam_cluster
 
 
@@ -118,6 +118,22 @@ class TestKmeansppInit:
         with pytest.raises(DataError):
             kmeanspp_init(pts, 10, seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_rejects_non_finite_weights(self, value):
+        # nan and inf coordinates, and finite ones whose squares overflow
+        pts = np.random.default_rng(3).normal(size=(9, 3))
+        pts[4, 1] = value
+        with pytest.raises(NumericalError):
+            kmeanspp_init(pts, 3, seed=0)
+
+
+class TestAssign:
+    def test_ties_go_to_the_lowest_medoid_index(self):
+        cols = np.array([[1.0, 1.0, 2.0], [3.0, 0.5, 0.5], [4.0, 4.0, 4.0], [2.0, 1.0, 3.0]])
+        assignment, nearest = _assign(cols)
+        assert assignment.tolist() == [0, 1, 0, 1]
+        assert nearest.tolist() == [1.0, 0.5, 4.0, 1.0]
+
 
 class TestPamCluster:
     def test_two_tight_pairs(self):
@@ -216,8 +232,6 @@ class TestPamCluster:
             pam_cluster(pts, 6, seed=0)
         bad = pts.copy()
         bad[0, 0] = np.nan
-        from sepselect.errors import NumericalError
-
         with pytest.raises(NumericalError):
             pam_cluster(bad, 2, seed=0)
 

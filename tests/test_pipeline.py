@@ -59,13 +59,12 @@ class TestValidationScoring:
         assert value == pytest.approx(np.mean([1.0, 1 - 1 / 9, 1.0, 1 - 1 / 11]), abs=1e-12)
 
     def test_assignment_is_nearest_with_low_index_ties(self):
-        # unsorted medoids tolerated; coincident medoids 0/1 tie for points 0
-        # and 1: both go to index 0, leaving medoid 1's cluster empty, and
-        # point 3 goes to its nearest (2). Every point is then in a cluster of
-        # two; had the tie gone to index 1, points 0 and 1 would be singletons
-        # and drop out of the mean.
-        value = _validation_mss([[0.0], [0.0], [5.0], [5.5]], [2, 1, 0])
-        assert value == pytest.approx(np.mean([1.0, 1.0, 1.0, 1 - 1 / 11]), abs=1e-12)
+        # unsorted medoids tolerated; point 1 lies at distance 2 from both
+        # medoids 0 and 2 and goes to the lower index, so both clusters have
+        # two points: mean of 1, 0, 1, 1 - 6/10 = 0.6. Sent to medoid 2,
+        # point 0 would be a singleton and drop out: mean of 0, 1, 0.4.
+        value = _validation_mss([[0.0], [2.0], [4.0], [10.0]], [2, 0])
+        assert value == pytest.approx(0.6, abs=1e-12)
 
     def test_undefined_when_every_cluster_singleton(self):
         assert np.isnan(_validation_mss([[0.0, 0.0], [3.0, 0.0], [9.0, 1.0]], [0, 1, 2]))
