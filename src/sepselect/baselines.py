@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import nearest
 from .errors import DataError
 from .separability import VAR_FLOOR
 
@@ -58,6 +59,17 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, s
     Feature differences are normalized by the feature's range, so weights
     are scale-invariant. sample_count defaults to a full pass over the
     data; sampling and neighbor ordering are seeded and deterministic.
+    Distance ties go to the lower row index.
+
+    Each pick sums its (rows, features) differences row by row into
+    distances: that reduction fixes the bits of the distances, and summing
+    a transposed layout over its first axis rounds differently once there
+    are 8 or more features. It is most of the cost of a pick. The nearest
+    rows of every class then come from one selection over a
+    (classes, largest class) matrix of member rows, and the pick's terms are
+    folded into the weights in one sequential accumulation, bitwise the
+    update "weights -= hit term, then += each miss term by ascending
+    class".
     """
     if neighbors < 1:
         raise DataError("neighbors must be >= 1")
@@ -83,21 +95,31 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, s
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=sample_count, replace=False)
 
+    # (classes, largest class) member rows in ascending order, padded with
+    # the sentinel row n, whose distance is +inf
+    members = np.full((d.n_classes, counts.max()), n)
+    for c in range(d.n_classes):
+        members[c, : counts[c]] = np.flatnonzero(codes == c)
+    dist = np.empty(n + 1)
+    dist[n] = np.inf
+    # row y: the hit class y, then the miss classes in ascending order; the
+    # coefficient of the hit is -1, of a miss class c priors[c] / (1 - priors[y])
+    update_order = np.array(
+        [[y] + [c for c in range(d.n_classes) if c != y] for y in range(d.n_classes)]
+    )
+    coefs = priors[update_order] / (1.0 - priors[:, None])
+    coefs[:, 0] = -1.0
+
     weights = np.zeros(m)
     scale = 1.0 / (sample_count * neighbors)
     for a in picks:
         diffs = np.abs(xn - xn[a])
-        dvec = diffs.sum(axis=1)
-        order = np.argsort(dvec, kind="stable")  # distance ties: lower index
-        ocodes = codes[order]
+        dist[:n] = diffs.sum(axis=1)
+        dist[a] = np.inf  # a pick is not its own hit
         y = codes[a]
-        hits = order[(ocodes == y) & (order != a)][:neighbors]
-        weights -= diffs[hits].sum(axis=0) * scale
-        for c in range(d.n_classes):
-            if c == y:
-                continue
-            misses = order[ocodes == c][:neighbors]
-            weights += (priors[c] / (1.0 - priors[y])) * diffs[misses].sum(axis=0) * scale
+        near = np.take_along_axis(members, nearest(dist[members], neighbors), axis=1)
+        terms = coefs[y][:, None] * diffs[near[update_order[y]]].sum(axis=1) * scale
+        weights = np.add.accumulate(np.vstack([weights, terms]), axis=0)[-1]
     return _ranked(weights)
 
 

@@ -401,7 +401,7 @@ def cmd_compare(args):
 
     # k_min from a full CV selection on the first repetition's training split
     sel_cfg = cfg.selection
-    train0, _ = split_train_test(data, SplitSpec(seed=sel_cfg.seed))
+    train0, test0 = split_train_test(data, SplitSpec(seed=sel_cfg.seed))
     result = select_features(train0, sel_cfg)
     k_min = result.k_min
 
@@ -412,10 +412,14 @@ def cmd_compare(args):
 
     for r in range(reps):
         rep_seed = sel_cfg.seed + r
-        train, test = split_train_test(data, SplitSpec(seed=rep_seed))
-        rep_cfg = replace(sel_cfg, seed=rep_seed)
-        _, clustering = select_at_k(train, k_min, rep_cfg)
-        subsets = {"sepselect": clustering.medoids.tolist()}
+        if r == 0:
+            # same split, seed and k as the selection's final clustering
+            train, test, selected = train0, test0, result.selected_features
+        else:
+            train, test = split_train_test(data, SplitSpec(seed=rep_seed))
+            _, clustering = select_at_k(train, k_min, replace(sel_cfg, seed=rep_seed))
+            selected = clustering.medoids.tolist()
+        subsets = {"sepselect": selected}
         for m in _BASELINES:
             subsets[m] = _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
 

@@ -1,4 +1,5 @@
-"""Pairwise Euclidean distance matrices between point rows."""
+"""Pairwise Euclidean distance matrices between point rows, and the
+nearest-first selection of row entries that neighbour searches share."""
 
 import numpy as np
 
@@ -20,3 +21,24 @@ def cross(a, b):
     by explicit differences; exact 0 for coincident rows."""
     diffs = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.sum(diffs ** 2, axis=2))
+
+
+def nearest(d, count):
+    """Column indices of the count smallest entries of each row of d,
+    ordered by (value, index): exactly np.argsort(d, axis=1,
+    kind="stable")[:, :count], without sorting whole rows. d is 2-D and
+    holds no NaN; 1 <= count <= d.shape[1].
+
+    np.partition finds each row's count-th smallest value. Only the entries
+    up to it are sorted, by (row, value) with np.lexsort, which is stable:
+    np.flatnonzero lists them row by row in ascending index, so ties at the
+    cut go to the lower index whatever the partition did.
+    """
+    d = np.asarray(d)
+    n_rows, n_cols = d.shape
+    kth = np.partition(d, count - 1, axis=1)[:, count - 1 : count]
+    flat = np.flatnonzero(d <= kth)
+    rows = flat // n_cols
+    flat = flat[np.lexsort((d.ravel()[flat], rows))]
+    starts = np.searchsorted(rows, np.arange(n_rows))
+    return flat[starts[:, None] + np.arange(count)] % n_cols

@@ -98,7 +98,11 @@ def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
     perplexity (2^entropy, entropy in bits) matches the target. The
     bracket is grown by doubling; if it cannot be established the row
     index is reported, and if bisection stalls the closest bracket
-    endpoint is used with a warning.
+    endpoint is used with a warning. A row with more tied nearest
+    neighbors than the perplexity (tied separability rows, from constant
+    or duplicate columns) cannot reach it at any finite beta and gets the
+    beta -> inf limit, uniform over those neighbors, with a warning naming
+    the row.
     """
     points = _as_points(z)
     m = points.shape[0]
@@ -115,9 +119,16 @@ def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
     for i in range(m):
         idx = others[others != i]
         row = d2[i, idx]
-        if np.all(row == 0.0):
-            # all neighbors coincide with the point: any beta gives uniform
-            p_cond[i, idx] = 1.0 / (m - 1)
+        closest = row == row.min()
+        ties = np.count_nonzero(closest)
+        if ties > perplexity:
+            # the perplexity only falls towards the tie count as beta grows:
+            # use the beta -> inf limit, uniform over the tied neighbors
+            warnings.warn(
+                f"row {i} has {ties} tied nearest neighbors, more than perplexity "
+                f"{perplexity}; using the uniform limit over them"
+            )
+            p_cond[i, idx] = closest / ties
             continue
         p_cond[i, idx] = _bisect_row(row, perplexity, tol, i)
     return p_cond

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepselect.baselines import cfs_select, fisher_scores, random_select, relieff_weights
 from sepselect.dataio import Dataset
@@ -81,7 +83,78 @@ def oracle_relieff(x, codes, n_classes, neighbors, picks):
     return w
 
 
+def oracle_relieff_loop(d, neighbors, sample_count, seed):
+    """relieff_weights as it was before one selection served every class:
+    the per-pick argsort and per-class loop, verbatim (test oracle)."""
+    codes = d.label_codes()
+    x = d.instances
+    n, m = x.shape
+    counts = np.bincount(codes, minlength=d.n_classes)
+    ranges = x.max(axis=0) - x.min(axis=0)
+    xn = x / np.where(ranges > 0.0, ranges, 1.0)
+    xn[:, ranges == 0.0] = 0.0  # constant features contribute no differences
+
+    priors = counts / n
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(n, size=sample_count, replace=False)
+
+    weights = np.zeros(m)
+    scale = 1.0 / (sample_count * neighbors)
+    for a in picks:
+        diffs = np.abs(xn - xn[a])
+        dvec = diffs.sum(axis=1)
+        order = np.argsort(dvec, kind="stable")  # distance ties: lower index
+        ocodes = codes[order]
+        y = codes[a]
+        hits = order[(ocodes == y) & (order != a)][:neighbors]
+        weights -= diffs[hits].sum(axis=0) * scale
+        for c in range(d.n_classes):
+            if c == y:
+                continue
+            misses = order[ocodes == c][:neighbors]
+            weights += (priors[c] / (1.0 - priors[y])) * diffs[misses].sum(axis=0) * scale
+    return weights
+
+
+@st.composite
+def relieff_problems(draw):
+    """Datasets with many distance ties (integer grids, duplicate rows,
+    constant columns) and unequal classes, each larger than neighbors.
+    Rows that hold one vector's values in other orders, next to a row of
+    zeros and a row of ones, tie in exact arithmetic in their distance to
+    the zero row but round apart differently in each summation order."""
+    neighbors = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(neighbors + 1, neighbors + 12), min_size=2, max_size=4))
+    n = sum(sizes)
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        x = rng.random((n, m))
+        x[0], x[1] = 0.0, 1.0
+        for i in draw(st.lists(st.integers(2, n - 1), max_size=12)):
+            x[i] = rng.permutation(x[2])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        x[i] = x[j]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        x[:, j] = 1.5
+    class_ids = [f"c{c}" for c in range(len(sizes))]
+    labels = np.repeat(np.array(class_ids, dtype=object), sizes)
+    labels = labels[draw(st.permutations(range(n)))]
+    d = Dataset(x, labels, [f"f{j}" for j in range(m)], class_ids)
+    return d, neighbors, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestRelieff:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=relieff_problems())
+    def test_bitwise_equal_to_pick_loop(self, problem):
+        d, neighbors, sample_count, seed = problem
+        got = relieff_weights(d, neighbors=neighbors, sample_count=sample_count, seed=seed)
+        expected = oracle_relieff_loop(d, neighbors, sample_count, seed)
+        assert np.array_equal(got.scores, expected)
+
     def _six_instance(self):
         # feature 0 separates the classes perfectly; feature 1 is noise;
         # feature 2 is constant

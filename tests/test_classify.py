@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepselect.classify import accuracy, balanced_f, evaluate, knn_predict
+from sepselect import classify
+from sepselect.classify import (
+    _majority,
+    _squared_distance_blocks,
+    accuracy,
+    balanced_f,
+    evaluate,
+    knn_predict,
+)
 from sepselect.dataio import Dataset
 from sepselect.errors import DataError
 
@@ -87,6 +97,85 @@ class TestKnnPredict:
         train, test = _pair([[0, 1], [0, 0]], ["a", "b"], [[0, 0], [0, 0]], ["a", "a"])
         with pytest.raises(DataError):
             knn_predict(train, test, [0], n_neighbors=3)
+
+
+def oracle_knn(train, test, subset, n_neighbors):
+    """The per-row loop of knn_predict before it computed blocks of rows,
+    verbatim; also returns each row's squared distances (test oracle)."""
+    a = train.instances[:, subset]
+    b = test.instances[:, subset]
+    labels = train.labels
+    preds, dists = [], []
+    for row in b:
+        d2 = np.sum((a - row) ** 2, axis=1)
+        order = np.argsort(d2, kind="stable")[:n_neighbors]
+        preds.append(_majority(labels[order]))
+        dists.append(d2)
+    return np.array(preds, dtype=object), dists
+
+
+@st.composite
+def knn_problems(draw):
+    """Train/test pairs with many distance ties: integer grids, duplicate
+    train rows, test rows copied from train rows, constant columns, unequal
+    classes, and train rows that hold one vector's values in other orders,
+    whose distances to the origin tie in exact arithmetic but round apart
+    differently in each summation order."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 4, size=(n, m)).astype(float) if draw(st.booleans()) else rng.random((n, m))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        x[i] = rng.permutation(x[0])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        x[i] = x[j]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        x[:, j] = 0.5
+    codes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    class_ids = ["a", "b", "c"]
+    train = Dataset(x, np.array([class_ids[c] for c in codes], dtype=object),
+                    [f"f{j}" for j in range(m)], class_ids)
+    n_test = draw(st.integers(2, 30))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=n_test, max_size=n_test))
+    shift = draw(st.sampled_from([0.0, 1.0, 0.25]))
+    t = x[rows] + shift * (np.arange(n_test) % 2)[:, None]
+    t[0] = 0.0
+    test = Dataset(t, np.array(["a"] * n_test, dtype=object), train.feature_names, class_ids)
+    subset = draw(st.one_of(
+        st.permutations(range(m)),
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m + 2),
+    ))
+    return train, test, list(subset), draw(st.integers(1, n))
+
+
+class TestKnnAgainstRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=knn_problems())
+    def test_bitwise_equal_to_row_loop(self, problem):
+        train, test, subset, k = problem
+        expected, dists = oracle_knn(train, test, subset, k)
+        assert np.array_equal(knn_predict(train, test, subset, k), expected)
+        a, b = train.instances[:, subset], test.instances[:, subset]
+        assert np.array_equal(np.vstack(list(_squared_distance_blocks(a, b))), np.vstack(dists))
+
+    @pytest.mark.parametrize("block_bytes", [1, 10**12])
+    def test_block_size_does_not_change_results(self, block_bytes, monkeypatch):
+        # one test row per block, then every test row in one block
+        rng = np.random.default_rng(2)
+        x = rng.integers(0, 4, size=(300, 9)).astype(float)
+        labels = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, 300)]
+        d = Dataset(x, labels, [f"f{j}" for j in range(9)], ["a", "b", "c"])
+        train, test = d.select_rows(range(200)), d.select_rows(range(200, 300))
+        subset = [0, 2, 3, 5, 6, 7, 8, 1]
+        base = knn_predict(train, test, subset, 7)
+        a, b = train.instances[:, subset], test.instances[:, subset]
+        base_d2 = np.vstack(list(_squared_distance_blocks(a, b)))
+        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
+        blocks = list(_squared_distance_blocks(a, b))
+        assert len(blocks) == (100 if block_bytes == 1 else 1)
+        assert np.array_equal(np.vstack(blocks), base_d2)
+        assert np.array_equal(knn_predict(train, test, subset, 7), base)
+        assert np.array_equal(base, oracle_knn(train, test, subset, 7)[0])
 
 
 class TestMetrics:

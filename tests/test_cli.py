@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _datasets import redundant_groups, write_csv
+from sepselect import cli
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _run_config, build_parser, main
@@ -238,19 +239,40 @@ class TestEmbedOnly:
         assert len(z_lines[0].split(",")) == 1 + 9  # 3 classes -> 9 pair columns
 
 
+def _compare_args(csv_path, outdir):
+    return [
+        "compare", "--input", csv_path, "--label", "label",
+        "--seed", "6", "--perplexity", "4", "--tsne-iterations", "100",
+        "--folds", "4", "--repetitions", "2", "--neighbors", "3",
+        "--relieff-neighbors", "3", "--output-dir", outdir,
+    ]
+
+
 class TestCompare:
     def test_small_comparison(self, csv_path, tmp_path, capsys):
         outdir = str(tmp_path / "cmp")
-        args = [
-            "compare", "--input", csv_path, "--label", "label",
-            "--seed", "6", "--perplexity", "4", "--tsne-iterations", "100",
-            "--folds", "4", "--repetitions", "2", "--neighbors", "3",
-            "--relieff-neighbors", "3", "--output-dir", outdir,
-        ]
-        assert main(args) == 0
+        assert main(_compare_args(csv_path, outdir)) == 0
         text = open(os.path.join(outdir, "compare.txt")).read()
         assert "sepselect" in text
         assert "relieff" in text
         assert "time saving" in text
         out = capsys.readouterr().out
         assert "method comparison" in out
+
+    def test_report_is_byte_identical_across_runs_up_to_timing(self, csv_path, tmp_path):
+        texts = []
+        for run in ("a", "b"):
+            outdir = str(tmp_path / run)
+            assert main(_compare_args(csv_path, outdir)) == 0
+            text = open(os.path.join(outdir, "compare.txt"), "rb").read()
+            texts.append(text[: text.index(b"prediction timing")])
+        assert texts[0] == texts[1]
+
+    def test_first_repetition_reuses_the_selection_clustering(self, csv_path, tmp_path, monkeypatch):
+        # repetition 0 has the selection's split, seed and k: only the
+        # other repetitions cluster again
+        calls = []
+        real = cli.select_at_k
+        monkeypatch.setattr(cli, "select_at_k", lambda *a: calls.append(a) or real(*a))
+        assert main(_compare_args(csv_path, str(tmp_path / "cmp"))) == 0
+        assert [cfg.seed for _, _, cfg in calls] == [7]

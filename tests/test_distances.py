@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepselect.distances import cross, squared_pairwise
+from sepselect.distances import cross, nearest, squared_pairwise
 
 
 def _points_with_duplicates():
@@ -40,3 +42,27 @@ class TestSquaredPairwise:
     def test_matches_difference_form(self):
         x = _points_with_duplicates()
         assert np.allclose(squared_pairwise(x), cross(x, x) ** 2, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def tied_rows(draw):
+    """Rows with many ties and +inf entries (ReliefF's padding), and a count
+    up to the full row length."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 30))
+    value = st.one_of(
+        st.integers(0, 3).map(float),
+        st.just(np.inf),
+        st.floats(0.0, 10.0),
+    )
+    d = np.array(draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    return d.reshape(rows, cols), draw(st.integers(1, cols))
+
+
+class TestNearest:
+    @settings(max_examples=400, deadline=None)
+    @given(problem=tied_rows())
+    def test_equals_stable_argsort_prefix(self, problem):
+        d, count = problem
+        expected = np.argsort(d, axis=1, kind="stable")[:, :count]
+        assert np.array_equal(nearest(d, count), expected)

@@ -186,6 +186,24 @@ class TestSelectFeatures:
         ):
             select_features(data, small_cfg())
 
+    @pytest.mark.parametrize("tie", ["constant", "duplicate"])
+    def test_tied_separability_rows_give_selection_or_data_error(self, tie):
+        # 5 of 10 columns constant, or copies of one column: their
+        # separability rows coincide, so each has 4 tied nearest neighbors
+        # against perplexity 3; t-SNE once raised NumericalError "bandwidth
+        # search failed to bracket" here
+        rng = np.random.default_rng(3)
+        labels = np.array(["a", "b", "c"] * 30, dtype=object)
+        x = rng.random((90, 10)) + 0.3 * (np.arange(90) % 3)[:, None]
+        x[:, 5:] = 0.5 if tie == "constant" else x[:, 5:6]
+        data = Dataset(x, labels, [f"f{j}" for j in range(10)], ["a", "b", "c"])
+        try:
+            result = select_features(data, small_cfg(perplexity=3.0))
+        except DataError:
+            return
+        assert 1 <= result.k_min <= 10
+        assert len(set(result.selected_features)) == result.k_min
+
     def test_config_validation(self):
         with pytest.raises(DataError):
             SelectionConfig(k_max=3)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sepselect.errors import DataError
+from sepselect.errors import DataError, NumericalError
 from sepselect.tsne import (
     P_FLOOR,
     Q_FLOOR,
     TsneConfig,
+    _bisect_row,
     conditional_affinities,
     embed,
     kl_divergence,
@@ -54,6 +55,23 @@ class TestConditionalAffinities:
         p = conditional_affinities(points, perplexity=10.0)
         for i in range(20):
             assert oracle_perplexity(p[i]) == pytest.approx(10.0, abs=1e-5)
+
+    def test_more_ties_than_perplexity_give_the_uniform_limit(self):
+        # points 0-3 coincide, so each has 3 tied nearest neighbors and
+        # point 4 has 4, against perplexity 2; point 5 has one nearest
+        points = np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [3.0]])
+        with pytest.warns(UserWarning, match=r"row 0 has 3 tied nearest neighbors"):
+            p = conditional_affinities(points, perplexity=2.0)
+        assert np.array_equal(p[0], [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0])
+        assert np.array_equal(p[4], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0])
+        assert oracle_perplexity(p[5]) == pytest.approx(2.0, abs=1e-5)
+
+    def test_near_ties_that_cannot_bracket_still_raise(self):
+        # one neighbor at exactly the minimum, three more 1e-300 away: the
+        # perplexity stays near 4 for every finite beta the search tries
+        row = np.array([0.0, 1e-300, 1e-300, 1e-300, 5.0])
+        with pytest.raises(NumericalError, match="failed to bracket perplexity 3.0 at row 7"):
+            _bisect_row(row, 3.0, 1e-7, 7)
 
     def test_perplexity_out_of_range(self):
         with pytest.raises(DataError, match="perplexity"):
