@@ -6,13 +6,25 @@ import numpy as np
 # Two forms: the Gram expansion is fast; explicit differences give exact 0 for coincident rows.
 
 
-def squared_pairwise(x):
+def squared_pairwise(x, out=None, scratch=None):
     """(M, M) squared distances among the rows of x by Gram expansion;
-    clipped at 0, with an exact zero diagonal."""
+    clipped at 0, with an exact zero diagonal.
+
+    out and scratch are optional C-contiguous float (M, M) buffers: the
+    result is written to out and the Gram product to scratch, so a caller
+    in a loop allocates nothing. The outer sum of squared norms is built
+    in place (every row set to the norms, then each row's own norm
+    added), with the same bits as sq[:, None] + sq[None, :], since
+    addition is commutative.
+    """
+    m = x.shape[0]
     sq = np.sum(x ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
+    d2 = np.empty((m, m)) if out is None else out
+    d2[...] = sq
+    d2 += sq[:, None]
+    d2 -= np.matmul(2.0 * x, x.T, out=scratch)
     np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
+    d2.ravel()[:: m + 1] = 0.0
     return d2
 
 

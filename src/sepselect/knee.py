@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_positive
 
 
 @dataclass
@@ -34,8 +34,7 @@ class Curve:
             raise DataError("xs must be strictly increasing")
         if self.smoothing_window < 0:
             raise DataError("smoothing_window must be non-negative")
-        if self.sensitivity <= 0.0:
-            raise DataError("sensitivity must be positive")
+        require_positive("sensitivity", self.sensitivity)
 
 
 def _moving_average(ys, half_width):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import SplitSpec, check_fold_classes, make_folds
 from .distances import cross
-from .errors import DataError
+from .errors import DataError, require_positive
 from .kmedoids import _assign, pam_cluster
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
@@ -49,6 +49,8 @@ class SelectionConfig:
             raise DataError("fold_count must be >= 2")
         if self.k_max is not None and self.k_max < 4:
             raise DataError("k_max must be >= 4 (knee detection needs 3 curve points)")
+        require_positive("perplexity", self.perplexity)
+        require_positive("knee_sensitivity", self.knee_sensitivity)
 
     def tsne_config(self, seed):
         return TsneConfig(perplexity=self.perplexity, iterations=self.tsne_iterations, seed=seed)

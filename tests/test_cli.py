@@ -116,6 +116,27 @@ class TestSelect:
         ]
         assert report[start + 11] == ""
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--knee-sensitivity", "nan"),
+            ("--knee-sensitivity", "inf"),
+            ("--perplexity", "nan"),
+            ("--perplexity", "inf"),
+        ],
+    )
+    def test_non_finite_options_are_data_errors_before_any_fold(
+        self, csv_path, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_fold_work(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "select_features", no_fold_work)
+        outdir = str(tmp_path / "out")
+        assert main(_select_args(csv_path, outdir, [flag, value])) == cli.EXIT_DATA
+        assert "must be a positive finite number" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, "report.txt"))
+
 
 class TestRunConfig:
     def test_omitted_selection_options_take_selection_config_defaults(self):

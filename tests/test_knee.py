@@ -93,8 +93,9 @@ class TestKneedle:
             Curve(xs=[0, 1], ys=[0, 1])
         with pytest.raises(DataError):
             Curve(xs=[0, 0, 1], ys=[0, 1, 2])
-        with pytest.raises(DataError):
-            Curve(xs=[0, 1, 2], ys=[0, 1, 2], sensitivity=0.0)
+        for sensitivity in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="sensitivity"):
+                Curve(xs=[0, 1, 2], ys=[0, 1, 2], sensitivity=sensitivity)
 
 
 class TestChordFallback:

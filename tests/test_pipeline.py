@@ -210,6 +210,12 @@ class TestSelectFeatures:
         with pytest.raises(DataError):
             SelectionConfig(fold_count=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["perplexity", "knee_sensitivity"])
+    def test_config_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a positive finite number"):
+            SelectionConfig(**{field: value})
+
 
 class TestIndexCurves:
     def test_shapes_and_mss_definedness(self, duplicate_groups):

@@ -8,7 +8,7 @@ from sepselect.tsne import (
     P_FLOOR,
     Q_FLOOR,
     TsneConfig,
-    _bisect_row,
+    _bandwidths,
     conditional_affinities,
     embed,
     kl_divergence,
@@ -68,10 +68,13 @@ class TestConditionalAffinities:
 
     def test_near_ties_that_cannot_bracket_still_raise(self):
         # one neighbor at exactly the minimum, three more 1e-300 away: the
-        # perplexity stays near 4 for every finite beta the search tries
+        # perplexity stays near 4 for every finite beta the search tries.
+        # Rows 0-6 reach perplexity 3 normally.
         row = np.array([0.0, 1e-300, 1e-300, 1e-300, 5.0])
+        shifted = np.vstack([np.tile([0.0, 1.0, 2.0, 3.0, 4.0], (7, 1)), row])
+        ties = np.count_nonzero(shifted == 0.0, axis=1)
         with pytest.raises(NumericalError, match="failed to bracket perplexity 3.0 at row 7"):
-            _bisect_row(row, 3.0, 1e-7, 7)
+            _bandwidths(shifted, ties, 3.0, 1e-7)
 
     def test_perplexity_out_of_range(self):
         with pytest.raises(DataError, match="perplexity"):
@@ -229,3 +232,12 @@ class TestEmbed:
             TsneConfig(perplexity=-1.0)
         with pytest.raises(DataError):
             TsneConfig(momentum_initial=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["perplexity", "learning_rate", "early_exaggeration", "momentum_initial", "momentum_final"],
+    )
+    def test_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(DataError, match=field.split("_")[0]):
+            TsneConfig(**{field: value})

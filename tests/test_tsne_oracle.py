@@ -1,0 +1,358 @@
+"""The lockstep bandwidth search and the buffered descent of sepselect.tsne
+must reproduce, bit for bit, a plain row-at-a-time implementation that
+allocates fresh arrays in every step. That implementation is kept below
+verbatim as the reference; the tests compare matrices, coordinates,
+warnings (and their order) and errors against it.
+
+The module also holds the memory bounds of the two t-SNE layers and the
+call contract the benchmark's trace relies on.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepselect import tsne
+from sepselect.errors import DataError, NumericalError
+from sepselect.tsne import P_FLOOR, Q_FLOOR, TsneConfig, symmetrize_affinities
+
+_BISECT_MAX_ITER = 50
+_PERPLEXITY_TOL = 1e-7
+
+
+# ---- reference implementation (row at a time) ----
+
+
+def squared_pairwise(x):
+    sq = np.sum(x ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _row_affinities(d2_row, beta):
+    # Shift by the smallest off-diagonal distance so the nearest neighbor
+    # never underflows; the shift cancels in the normalization.
+    shifted = d2_row - d2_row.min()
+    p = np.exp(-beta * shifted)
+    return p / p.sum()
+
+
+def _row_perplexity(p):
+    nz = p[p > 0.0]
+    entropy_bits = -np.sum(nz * np.log2(nz))
+    return 2.0 ** entropy_bits
+
+
+def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
+    points = np.asarray(z, dtype=float)
+    m = points.shape[0]
+    if m < 2:
+        raise DataError("need at least 2 points")
+    if not 1.0 <= perplexity <= m - 1:
+        raise DataError(
+            f"perplexity must lie in [1, M-1] = [1, {m - 1}], got {perplexity}"
+        )
+
+    d2 = squared_pairwise(points)
+    p_cond = np.zeros((m, m))
+    others = np.arange(m)
+    for i in range(m):
+        idx = others[others != i]
+        row = d2[i, idx]
+        closest = row == row.min()
+        ties = np.count_nonzero(closest)
+        if ties > perplexity:
+            # the perplexity only falls towards the tie count as beta grows:
+            # use the beta -> inf limit, uniform over the tied neighbors
+            warnings.warn(
+                f"row {i} has {ties} tied nearest neighbors, more than perplexity "
+                f"{perplexity}; using the uniform limit over them"
+            )
+            p_cond[i, idx] = closest / ties
+            continue
+        p_cond[i, idx] = _bisect_row(row, perplexity, tol, i)
+    return p_cond
+
+
+def _bisect_row(d2_row, target, tol, row_index):
+    beta, beta_lo, beta_hi = 1.0, None, None
+    p = _row_affinities(d2_row, beta)
+    best_p, best_err = p, abs(_row_perplexity(p) - target)
+    for _ in range(_BISECT_MAX_ITER):
+        achieved = _row_perplexity(p)
+        err = achieved - target
+        if abs(err) <= tol:
+            return p
+        if abs(err) < best_err:
+            best_p, best_err = p, abs(err)
+        if err > 0.0:  # too many effective neighbors: narrow the kernel
+            beta_lo = beta
+            beta = beta * 2.0 if beta_hi is None else 0.5 * (beta_lo + beta_hi)
+        else:
+            beta_hi = beta
+            beta = beta / 2.0 if beta_lo is None else 0.5 * (beta_lo + beta_hi)
+        p = _row_affinities(d2_row, beta)
+    if beta_lo is None or beta_hi is None:
+        raise NumericalError(
+            f"bandwidth search failed to bracket perplexity {target} at row {row_index}"
+        )
+    warnings.warn(
+        f"bandwidth bisection for row {row_index} stopped at perplexity error "
+        f"{best_err:.3g}; using closest bracket endpoint"
+    )
+    return best_p
+
+
+def _student_weights(coords):
+    w = 1.0 / (1.0 + squared_pairwise(coords))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def kl_gradient(p, coords):
+    coords = np.asarray(coords, dtype=float)
+    w = _student_weights(coords)
+    q = w / w.sum()
+    np.maximum(q, Q_FLOOR, out=q)
+    np.fill_diagonal(q, 0.0)
+    pq = (p - q) * w
+    return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ coords)
+
+
+def embed(z, cfg, initial_coords=None):
+    points = np.asarray(z, dtype=float)
+    m = points.shape[0]
+    if m < 3:
+        raise DataError(f"need at least 3 points to embed, got {m}")
+
+    p = symmetrize_affinities(conditional_affinities(points, cfg.perplexity))
+    rng = np.random.default_rng(cfg.seed)
+    if initial_coords is None:
+        coords = rng.normal(0.0, 1e-4, size=(m, cfg.output_dim))
+    else:
+        coords = np.array(initial_coords, dtype=float)
+        if coords.shape != (m, cfg.output_dim):
+            raise DataError("initial_coords shape mismatch")
+    velocity = np.zeros_like(coords)
+
+    for it in range(cfg.iterations):
+        p_eff = p * cfg.early_exaggeration if it < cfg.exaggeration_iters else p
+        grad = kl_gradient(p_eff, coords)
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"non-finite gradient at iteration {it}")
+        momentum = (
+            cfg.momentum_initial
+            if it < cfg.momentum_switch_iter
+            else cfg.momentum_final
+        )
+        velocity = momentum * velocity - cfg.learning_rate * grad
+        coords = coords + velocity
+        coords = coords - coords.mean(axis=0)
+    return coords
+
+
+# ---- comparison helpers ----
+
+
+def _outcome(fn, *args):
+    """(result, [(category, message)], (exception type, message) or None)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = fn(*args), None
+        except (DataError, NumericalError) as exc:
+            result, error = None, (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught], error
+
+
+def _assert_same_outcome(reference, actual):
+    ref_result, ref_warnings, ref_error = reference
+    result, caught, error = actual
+    assert caught == ref_warnings
+    assert error == ref_error
+    if ref_result is None:
+        assert result is None
+    else:
+        # tobytes also tells +0.0 from -0.0, which array_equal does not
+        assert result.dtype == ref_result.dtype and result.shape == ref_result.shape
+        assert result.tobytes() == ref_result.tobytes()
+
+
+@st.composite
+def affinity_problems(draw):
+    m = draw(st.integers(2, 28))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(m, dim)) * draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3]))
+    # coincident points: ties at the nearest distance, up to the tie limit
+    for target, source in draw(
+        st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m)
+    ):
+        points[target] = points[source]
+    # a far group: exp underflows to 0 for many entries mid-bisection
+    far = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    points[far] *= draw(st.sampled_from([1.0, 30.0, 1e3]))
+    perplexity = draw(
+        st.one_of(
+            st.just(1.0),
+            st.just(float(m - 1)),
+            st.floats(1.0, max(1.0, m - 1.0)),
+        )
+    )
+    return points, perplexity
+
+
+class TestAffinitiesMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=affinity_problems())
+    def test_matrix_warnings_and_errors(self, problem):
+        points, perplexity = problem
+        _assert_same_outcome(
+            _outcome(conditional_affinities, points, perplexity),
+            _outcome(tsne.conditional_affinities, points, perplexity),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.integers(0, 3),
+        after=st.integers(0, 3),
+        cluster=st.integers(4, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bracket_failure_between_tie_rows(self, before, after, cluster, seed):
+        # near-tie block: two coincident points at 0 and three 1e-150 away
+        # (squared distance 1e-300), whose perplexity stays near 4 for
+        # every finite beta; tie clusters of `cluster` coincident points
+        # far away, shuffled around it
+        near_tie = [0.0, 0.0, 1e-150, 1e-150, 1e-150]
+        far = [100.0 * (c + 1) for c in range(before + after)]
+        points = np.array(near_tie + [x for x in far for _ in range(cluster)])[:, None]
+        order = np.random.default_rng(seed).permutation(len(points))
+        points = points[order]
+        reference = _outcome(conditional_affinities, points, 2.0)
+        _assert_same_outcome(reference, _outcome(tsne.conditional_affinities, points, 2.0))
+
+        first_failing = int(np.flatnonzero(order < len(near_tie))[0])
+        _, caught, error = reference
+        assert error == (
+            NumericalError,
+            f"bandwidth search failed to bracket perplexity 2.0 at row {first_failing}",
+        )
+        tie_rows = [i for i in range(first_failing) if order[i] >= len(near_tie)]
+        assert [msg.split(" has ")[0] for _, msg in caught] == [f"row {i}" for i in tie_rows]
+
+    def test_perplexity_one_and_m_minus_one_on_the_workload_size(self):
+        points = np.random.default_rng(3).uniform(size=(203, 12))
+        for perplexity in (1.0, 202.0, 30.0):
+            _assert_same_outcome(
+                _outcome(conditional_affinities, points, perplexity),
+                _outcome(tsne.conditional_affinities, points, perplexity),
+            )
+
+
+class TestEntropyBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 30),
+        cols=st.integers(1, 90),
+        zero_share=st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_sum_equals_the_1d_sum_of_each_row(self, rows, cols, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=(rows, cols)) * 10.0 ** rng.uniform(-300, 0, size=(rows, cols))
+        p[rng.random((rows, cols)) < zero_share] = 0.0
+        expected = []
+        for row in p:
+            nz = row[row > 0.0]
+            expected.append(-np.sum(nz * np.log2(nz)))
+        assert tsne._entropy_bits(p).tobytes() == np.array(expected).tobytes()
+
+
+@st.composite
+def embed_problems(draw):
+    m = draw(st.integers(3, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(size=(m, draw(st.integers(1, 6))))
+    if draw(st.booleans()):
+        points[1] = points[0]  # a coincident pair
+    cfg = TsneConfig(
+        perplexity=draw(st.floats(1.0, m - 1.0)),
+        iterations=draw(st.integers(1, 40)),
+        output_dim=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([10.0, 200.0])),
+        early_exaggeration=draw(st.sampled_from([1.0, 4.0, 12.0])),
+        exaggeration_iters=draw(st.integers(0, 20)),
+        momentum_switch_iter=draw(st.integers(0, 30)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return points, cfg
+
+
+class TestDescentMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=embed_problems())
+    def test_coordinates(self, problem):
+        points, cfg = problem
+
+        def new_coords(z, c):
+            return tsne.embed(z, c).coords
+
+        _assert_same_outcome(_outcome(embed, points, cfg), _outcome(new_coords, points, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 30), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_gradient(self, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=(m, m))
+        p = (p + p.T) / (2.0 * p.sum())
+        np.maximum(p, P_FLOOR, out=p)
+        np.fill_diagonal(p, 0.0)
+        coords = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-4, 2)
+        assert tsne.kl_gradient(p, coords).tobytes() == kl_gradient(p, coords).tobytes()
+
+
+class TestMemoryAndTraceContract:
+    M = 200
+
+    @pytest.fixture()
+    def points(self):
+        # warm up first: lazily imported numpy helpers would count as peak
+        tsne.embed(np.random.default_rng(1).uniform(size=(12, 4)), TsneConfig(perplexity=3.0, iterations=2))
+        return np.random.default_rng(0).uniform(size=(self.M, 50))
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_affinities_peak_within_three_matrices(self, points):
+        peak = self._peak(lambda: tsne.conditional_affinities(points, 30.0))
+        assert peak <= 3 * self.M * self.M * 8
+
+    def test_embed_peak_within_six_matrices(self, points):
+        cfg = TsneConfig(perplexity=30.0, iterations=5)
+        peak = self._peak(lambda: tsne.embed(points, cfg))
+        assert peak <= 6 * self.M * self.M * 8
+
+    def test_embed_calls_the_module_affinities_once(self, points, monkeypatch):
+        # the benchmark times the affinity layer by replacing this global
+        calls = []
+        real = tsne.conditional_affinities
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tsne, "conditional_affinities", counting)
+        tsne.embed(points[:30], TsneConfig(perplexity=5.0, iterations=3))
+        assert len(calls) == 1
