@@ -11,7 +11,7 @@ from .baselines import RankedFeatures, cfs_select, fisher_scores, random_select,
 from .classify import EvalReport, accuracy, balanced_f, evaluate, knn_predict
 from .dataio import Dataset, SplitSpec, load_csv, make_folds, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
-from .kmedoids import ClusteringResult, kmeanspp_init, pam_cluster
+from .kmedoids import ClusteringResult, kmeanspp_init, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .pipeline import (
     IndexCurves,
@@ -85,6 +85,7 @@ __all__ = [
     "mss",
     "mss_curve_cv",
     "pam_cluster",
+    "pam_sweep",
     "random_select",
     "relieff_weights",
     "select_at_k",

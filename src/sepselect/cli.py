@@ -233,7 +233,7 @@ def cmd_select(args):
 
     if args.index_curves:
         ks = result.curve.ks
-        curves = index_curves(result.embedding.coords, ks, cfg.selection.seed)
+        curves = index_curves(result.embedding.coords, ks)
         _write_indices_csv(os.path.join(outdir, "indices.csv"), curves)
         if args.plots:
             chart = LineChart(title="validity indices", x_label="k", y_label="index")

@@ -1,24 +1,33 @@
-"""K-medoids clustering with k-means++ seeding and PAM swap refinement.
+"""K-medoids clustering: PAM swap refinement from k-means++ seeds at a
+fixed k, or warm-started from BUILD across a whole k sweep.
 
 Distances are Euclidean in the space the points live in (for this
-package, the low-dimensional embedding). The spread-out seeding is the
-first defence against bad local optima; a single best-swap run can still
-stall on unstructured point clouds, so a few seeded restarts are taken
-and the cheapest result kept.
+package, the low-dimensional embedding). pam_cluster clusters at one k:
+the spread-out seeding is the first defence against bad local optima; a
+single best-swap run can still stall on unstructured point clouds, so a
+few seeded restarts are taken and the cheapest result kept. pam_sweep
+clusters at every k = 2..k_hi: k = 2 starts from BUILD (Kaufman &
+Rousseeuw 1990), each next k from the previous k's optimum plus BUILD's
+greedy point, so each k needs only the few swaps that the added medoid
+sets off. Both end every k at a local optimum under single swaps, through
+the same swap rounds (_swap_to_optimum).
 
-Cost model: pam_cluster builds the (M, M) distance matrix once and every
-restart reads it. A swap round evaluates all k * (M - k) exchanges in
-O(M * (M - k)) time and memory whatever the cluster sizes: the
+Cost model: each call builds the (M, M) distance matrix once, and every
+restart or k reads it. A swap round evaluates all k * (M - k) exchanges
+in O(M * (M - k)) time and memory whatever the cluster sizes: the
 second-nearest medoid distance comes from a partial sort, and the
 per-medoid sums of the loss terms from one weighted bincount over
 (medoid, candidate) bins rather than a loop over the k medoids. Every sum
 is taken in the same order as the plain per-medoid loop, so results do
-not depend on this vectorization down to the last bit.
+not depend on this vectorization down to the last bit. A BUILD step costs
+O(M^2). pam_cluster pays k-means++ seeding and a full descent for every
+restart; pam_sweep pays one BUILD step and usually a few swap rounds per k.
 
 Determinism contract: ties in nearest-medoid assignment go to the lowest
 medoid index, the applied swap is the lexicographically first cost
-minimizer, the medoid list is kept sorted ascending, and restart seeds
-derive from the caller's seed.
+minimizer, BUILD's ties go to the lowest point index, the medoid list is
+kept sorted ascending, and pam_cluster's restart seeds derive from the
+caller's seed. pam_sweep draws no random numbers.
 """
 
 from dataclasses import dataclass
@@ -99,6 +108,18 @@ def _assign(dist_cols):
     return assignment, nearest
 
 
+def _checked_distances(points, k):
+    """(points as a matrix, their (M, M) distance matrix), after checking
+    that k lies in [2, M] and every coordinate is finite."""
+    pts = _as_matrix(points)
+    m = pts.shape[0]
+    if not 2 <= k <= m:
+        raise DataError(f"k must be in [2, {m}], got {k}")
+    if not np.all(np.isfinite(pts)):
+        raise NumericalError("non-finite coordinates")
+    return pts, np.sqrt(squared_pairwise(pts))
+
+
 def pam_cluster(points, k, seed, restarts=3, cost_log=None):
     """Greedy best-swap PAM, best of `restarts` seeded k-means++ starts.
 
@@ -111,19 +132,13 @@ def pam_cluster(points, k, seed, restarts=3, cost_log=None):
     """
     if restarts < 1:
         raise DataError("restarts must be >= 1")
-    pts = _as_matrix(points)
-    m = pts.shape[0]
-    if not 2 <= k <= m:
-        raise DataError(f"k must be in [2, {m}], got {k}")
-    if not np.all(np.isfinite(pts)):
-        raise NumericalError("non-finite coordinates")
-    dist = np.sqrt(squared_pairwise(pts))  # shared by every restart
+    pts, dist = _checked_distances(points, k)  # dist is shared by every restart
 
     best, best_log = None, None
     for r in range(restarts):
         run_seed = int(np.random.SeedSequence([int(seed), r]).generate_state(1)[0])
         log = [] if cost_log is not None else None
-        result = _pam_single(pts, dist, k, run_seed, log)
+        result = _swap_to_optimum(dist, np.sort(kmeanspp_init(pts, k, run_seed)), log)
         if best is None or result.cost < best.cost - _IMPROVEMENT_EPS:
             best, best_log = result, log
     if cost_log is not None:
@@ -155,9 +170,12 @@ def _swap_deltas(d_cand, nearest, second, assignment, k):
     return base + sums.reshape(k, c)
 
 
-def _pam_single(pts, dist, k, seed, cost_log=None):
-    m = pts.shape[0]
-    medoids = np.sort(kmeanspp_init(pts, k, seed))
+def _swap_to_optimum(dist, medoids, cost_log=None):
+    """Best-swap rounds from the sorted medoids to a local optimum under
+    single swaps (or _MAX_SWAP_ROUNDS rounds); cost_log, when given,
+    receives the cost at the start of every round."""
+    m = dist.shape[0]
+    k = len(medoids)
     positions = np.arange(k)
 
     for _ in range(_MAX_SWAP_ROUNDS):
@@ -190,3 +208,33 @@ def _pam_single(pts, dist, k, seed, cost_log=None):
     return ClusteringResult(
         medoids=medoids, assignment=assignment, cost=float(nearest.sum())
     )
+
+
+def _build_next(dist, medoids):
+    """BUILD's greedy medoid: the non-medoid that maximizes the total
+    decrease sum_i max(nearest_i - d_ij, 0), ties to the lowest index."""
+    nearest = dist[:, medoids].min(axis=1)
+    gains = np.maximum(nearest[:, None] - dist, 0.0).sum(axis=0)
+    gains[medoids] = -1.0  # below every non-medoid's gain, which is >= 0
+    return int(np.argmax(gains))
+
+
+def pam_sweep(points, k_hi):
+    """Best-swap PAM for every k = 2..k_hi, warm-started along the sweep.
+
+    k = 2 starts from BUILD (Kaufman & Rousseeuw 1990): the point of
+    smallest distance sum, then BUILD's greedy point. Each next k starts
+    from the previous k's optimum plus BUILD's greedy point. Every result
+    is a local optimum under single swaps, reached by pam_cluster's swap
+    rounds and tie rules. No randomness: the sweep depends on the points
+    alone. Returns one ClusteringResult per k, in order.
+    """
+    _, dist = _checked_distances(points, k_hi)  # shared by every k
+
+    medoids = np.array([np.argmin(dist.sum(axis=1))])  # first minimum on ties
+    results = []
+    for _ in range(2, k_hi + 1):
+        medoids = np.sort(np.append(medoids, _build_next(dist, medoids)))
+        results.append(_swap_to_optimum(dist, medoids))
+        medoids = results[-1].medoids
+    return results

@@ -12,9 +12,14 @@ the validity index is evaluated on that geometry. The strategy is
 isolated in validation_mss() so an alternative reading is a one-function
 change.
 
+Clustering: each fold embedding is clustered for the whole k sweep by
+one warm-started pam_sweep, which draws no random numbers; the final
+clustering at k_min (select_at_k) is a seeded pam_cluster with k-means++
+restarts.
+
 Seeds: the final full-train embedding uses the base seed; fold f uses
-base + 1 + f. Per-(stage, k) clustering seeds are derived through
-SeedSequence so runs are reproducible and folds stay independent.
+base + 1 + f. The final clustering's seed is derived from (base, k)
+through SeedSequence, so runs are reproducible.
 """
 
 import warnings
@@ -25,10 +30,10 @@ import numpy as np
 from .dataio import SplitSpec, check_fold_classes, make_folds
 from .distances import cross
 from .errors import DataError, require_positive
-from .kmedoids import _assign, pam_cluster
+from .kmedoids import _assign, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
-from .tsne import Embedding, TsneConfig, embed
+from .tsne import Embedding, TsneConfig, check_perplexity, embed
 from .validity import mss, mss_from_distances, silhouette, simplified_silhouette
 
 
@@ -87,9 +92,9 @@ class SelectionResult:
     knee_source: str = "kneedle"
 
 
-def _derived_seed(base, stage, k):
-    # stage 0 = final full-train clustering, stage f+1 = fold f
-    return int(np.random.SeedSequence([int(base), int(stage), int(k)]).generate_state(1)[0])
+def _derived_seed(base, k):
+    # seed of the final clustering at k; the middle 0 keeps the seeds select_at_k has always used
+    return int(np.random.SeedSequence([int(base), 0, int(k)]).generate_state(1)[0])
 
 
 def validation_distances(z_val):
@@ -120,15 +125,16 @@ def mss_curve_cv(train, cfg):
     """Fold-averaged validity curve over k in [2, k_max].
 
     Every fold embeds its own train part (fold-derived t-SNE seed),
-    clusters it for each k, and scores the medoid features on the
-    validation part; folds undefined at some k are skipped in the
-    average at that k.
+    clusters it for each k with one pam_sweep, and scores the medoid
+    features on the validation part; folds undefined at some k are skipped
+    in the average at that k.
     """
     m = train.n_features
     k_hi = min(cfg.k_max or m, m)
     ks = np.arange(2, k_hi + 1)
     if len(ks) < 3:
         raise DataError(f"k sweep [2, {k_hi}] too short for knee detection")
+    check_perplexity(cfg.perplexity, m)  # every fold embeds the m features
 
     folds = make_folds(train, SplitSpec(fold_count=cfg.fold_count, seed=cfg.seed))
     check_fold_classes(train, folds)
@@ -137,8 +143,7 @@ def mss_curve_cv(train, cfg):
         z_tr = build_feature_space(tr_part)
         d_val = validation_distances(build_feature_space(val_part))
         emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
-        for j, k in enumerate(ks):
-            clustering = pam_cluster(emb.coords, int(k), _derived_seed(cfg.seed, f + 1, k))
+        for j, clustering in enumerate(pam_sweep(emb.coords, k_hi)):
             fold_values[f, j] = validation_mss(d_val, clustering.medoids)
 
     with warnings.catch_warnings():
@@ -191,7 +196,7 @@ def select_at_k(train, k, cfg):
     selected feature indices."""
     z = build_feature_space(train)
     embedding = embed(z, cfg.tsne_config(seed=cfg.seed))
-    clustering = pam_cluster(embedding.coords, k, _derived_seed(cfg.seed, 0, k))
+    clustering = pam_cluster(embedding.coords, k, _derived_seed(cfg.seed, k))
     return embedding, clustering
 
 
@@ -206,11 +211,15 @@ class IndexCurves:
     clusterings: list = field(default_factory=list)
 
 
-def index_curves(coords, ks, base_seed):
+def index_curves(coords, ks):
     """All three validity indices across a k sweep of one embedding; the
-    material for side-by-side curve plots and correlation checks."""
+    material for side-by-side curve plots and correlation checks. One
+    pam_sweep up to max(ks) supplies the clustering at every k."""
     ks = np.asarray(ks, dtype=int)
-    clusterings = [pam_cluster(coords, int(k), _derived_seed(base_seed, 0, k)) for k in ks]
+    if ks.min() < 2:
+        raise DataError(f"k must be >= 2, got {ks.min()}")
+    sweep = pam_sweep(coords, int(ks.max()))
+    clusterings = [sweep[k - 2] for k in ks]
     mean_simplified = [mss(coords, c).aggregate for c in clusterings]
     return IndexCurves(
         ks=ks,

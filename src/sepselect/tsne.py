@@ -100,6 +100,16 @@ def _as_points(z):
     return np.asarray(pts, dtype=float)
 
 
+def check_perplexity(perplexity, m):
+    """DataError unless m >= 2 points admit the perplexity: 1 <= it <= m - 1."""
+    if m < 2:
+        raise DataError("need at least 2 points")
+    if not 1.0 <= perplexity <= m - 1:
+        raise DataError(
+            f"perplexity must lie in [1, M-1] = [1, {m - 1}], got {perplexity}"
+        )
+
+
 def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
     """Row-stochastic conditional affinity matrix with per-row bandwidths.
 
@@ -116,12 +126,7 @@ def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
     """
     points = _as_points(z)
     m = points.shape[0]
-    if m < 2:
-        raise DataError("need at least 2 points")
-    if not 1.0 <= perplexity <= m - 1:
-        raise DataError(
-            f"perplexity must lie in [1, M-1] = [1, {m - 1}], got {perplexity}"
-        )
+    check_perplexity(perplexity, m)
 
     # row i: the squared distances from point i to the others
     shifted = _off_diagonal(squared_pairwise(points)).reshape(m, m - 1)

@@ -223,7 +223,7 @@ def figure2_run():
     cfg = SelectionConfig(seed=3, perplexity=30.0, tsne_iterations=500, fold_count=5)
     curve = mss_curve_cv(train, cfg)
     emb = embed(build_feature_space(train), cfg.tsne_config(seed=cfg.seed))
-    curves = index_curves(emb.coords, curve.ks, cfg.seed)
+    curves = index_curves(emb.coords, curve.ks)
     accuracies = np.array(
         [
             evaluate(train, test, cl.medoids.tolist(), n_neighbors=5).accuracy

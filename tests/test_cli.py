@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _datasets import redundant_groups, write_csv
-from sepselect import cli
+from sepselect import cli, pipeline
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _run_config, build_parser, main
@@ -136,6 +136,32 @@ class TestSelect:
         assert main(_select_args(csv_path, outdir, [flag, value])) == cli.EXIT_DATA
         assert "must be a positive finite number" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "report.txt"))
+
+
+    @pytest.mark.parametrize("value", ["50", "0.5"])
+    def test_perplexity_outside_feature_range_fails_before_any_fold(
+        self, csv_path, tmp_path, capsys, monkeypatch, value
+    ):
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "out")
+        assert main(_select_args(csv_path, outdir, ["--perplexity", value])) == cli.EXIT_DATA
+        assert "perplexity must lie in [1, M-1] = [1, 7]" in capsys.readouterr().err
+        assert calls == []
+
+    def test_all_artifacts_are_byte_identical_across_runs(self, csv_path, tmp_path):
+        runs = [str(tmp_path / name) for name in ("a1", "a2")]
+        for outdir in runs:
+            assert main(_select_args(csv_path, outdir, ["--index-curves", "--plots"])) == 0
+        for name in ("curve.csv", "indices.csv", "embedding.csv"):
+            first, second = (open(os.path.join(d, name), "rb").read() for d in runs)
+            assert first == second, name
 
 
 class TestRunConfig:

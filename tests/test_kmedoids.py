@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _datasets import gaussian_blobs
+from _datasets import gaussian_blobs, redundant_groups
 from sepselect import kmedoids
 from sepselect.errors import DataError, NumericalError
-from sepselect.kmedoids import _assign, _swap_deltas, kmeanspp_init, pam_cluster
+from sepselect.dataio import minmax_normalize
+from sepselect.distances import squared_pairwise
+from sepselect.kmedoids import _assign, _swap_deltas, kmeanspp_init, pam_cluster, pam_sweep
+from sepselect.pipeline import SelectionConfig, mss_curve_cv
 
 
 def brute_force_best(points, k):
@@ -260,3 +263,129 @@ class TestSwapDeltas:
         correction = lose_term - keep_term
         expected = np.array([base + correction[assignment == pos].sum(axis=0) for pos in range(k)])
         assert np.array_equal(_swap_deltas(d_cand, nearest, second, assignment, k), expected)
+
+
+def _swap_costs(dist, medoids):
+    """Cost of every single swap of medoids, by brute force."""
+    others = np.setdiff1d(np.arange(dist.shape[0]), medoids)
+    return [
+        dist[:, np.append(np.delete(medoids, pos), cand)].min(axis=1).sum()
+        for pos in range(len(medoids))
+        for cand in others
+    ]
+
+
+class TestPamSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds())
+    def test_every_k_is_a_single_swap_local_optimum(self, cloud):
+        points, k_hi = cloud
+        m = points.shape[0]
+        dist = np.sqrt(squared_pairwise(points))
+        sweep = pam_sweep(points, k_hi)
+        assert [r.k for r in sweep] == list(range(2, k_hi + 1))
+        for r in sweep:
+            assert np.array_equal(r.medoids, np.unique(r.medoids))  # sorted, unique
+            assert r.cost == dist[np.arange(m), r.medoids[r.assignment]].sum()
+            assert np.array_equal(r.assignment[r.medoids], np.arange(r.k))
+            tol = 1e-9 * (1.0 + r.cost)
+            assert np.all(dist[np.arange(m), r.medoids[r.assignment]]
+                          <= dist[:, r.medoids].min(axis=1) + tol)
+            assert min(_swap_costs(dist, r.medoids), default=np.inf) >= r.cost - tol
+
+    def test_cost_recomputable_and_k_equals_m_costs_zero(self):
+        pts = np.random.default_rng(4).normal(size=(12, 2))
+        pts[5] = pts[3]  # a coincident pair
+        sweep = pam_sweep(pts, 12)
+        for r in sweep:
+            med_pts = pts[r.medoids[r.assignment]]
+            assert r.cost == pytest.approx(np.linalg.norm(pts - med_pts, axis=1).sum(), abs=1e-9)
+        last = sweep[-1]
+        assert last.medoids.tolist() == list(range(12))
+        assert last.cost == 0.0
+        assert np.array_equal(last.assignment, np.arange(12))
+
+    def test_two_blobs_start_at_the_optimum(self):
+        pts, _ = gaussian_blobs([20, 20], [[0.0, 0.0], [10.0, 10.0]], 0.5, seed=2)
+        opt_cost, _ = brute_force_best(pts, 2)
+        assert pam_sweep(pts, 2)[0].cost == pytest.approx(opt_cost, abs=1e-9)
+
+    def test_deterministic(self):
+        pts = np.random.default_rng(5).normal(size=(30, 2))
+        a, b = pam_sweep(pts, 10), pam_sweep(pts, 10)
+        for ra, rb in zip(a, b):
+            assert np.array_equal(ra.medoids, rb.medoids)
+            assert np.array_equal(ra.assignment, rb.assignment)
+            assert ra.cost == rb.cost
+
+    @pytest.mark.parametrize("k_hi", [1, 6])
+    def test_k_outside_range_raises_like_pam_cluster(self, k_hi):
+        pts = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(DataError) as sweep_err:
+            pam_sweep(pts, k_hi)
+        with pytest.raises(DataError) as pam_err:
+            pam_cluster(pts, k_hi, seed=0)
+        assert str(sweep_err.value) == str(pam_err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_points_raise_like_pam_cluster(self, value):
+        pts = np.random.default_rng(0).normal(size=(5, 2))
+        pts[2, 1] = value
+        with pytest.raises(NumericalError) as sweep_err:
+            pam_sweep(pts, 3)
+        with pytest.raises(NumericalError) as pam_err:
+            pam_cluster(pts, 3, seed=0)
+        assert str(sweep_err.value) == str(pam_err.value)
+
+    def test_against_per_k_pam_cluster(self):
+        # per-k pam_cluster (3 k-means++ restarts) is the reference; the sweep
+        # trades independent restarts for warm starts, so it may land on a
+        # cheaper or a dearer local optimum at a given k, but not far off
+        equal = lower = higher = 0
+        worst, sweep_total, pam_total = 0.0, 0.0, 0.0
+        for trial in range(8):
+            rng = np.random.default_rng(trial)
+            m = int(rng.integers(20, 40))
+            if trial % 3 == 0:
+                pts = rng.normal(size=(m, 2))
+            elif trial % 3 == 1:
+                centers = rng.uniform(-10.0, 10.0, size=(5, 2))
+                pts = centers[rng.integers(5, size=m)] + rng.normal(scale=0.7, size=(m, 2))
+            else:
+                pts = rng.integers(-3, 4, size=(m, 2)).astype(float)  # coincident points
+            for r in pam_sweep(pts, m):
+                ref = pam_cluster(pts, r.k, seed=1000 * trial + r.k).cost
+                if abs(r.cost - ref) <= 1e-9 * (1.0 + ref):
+                    equal += 1
+                elif r.cost < ref:
+                    lower += 1
+                else:
+                    higher += 1
+                    worst = max(worst, r.cost / ref - 1.0)
+                sweep_total += r.cost
+                pam_total += ref
+        print(f"sweep vs per-k pam_cluster: {equal} equal, {lower} lower, {higher} higher, "
+              f"worst +{100 * worst:.1f}%, total cost ratio {sweep_total / pam_total:.4f}")
+        assert equal > lower + higher
+        assert worst < 0.25
+        assert sweep_total < 1.02 * pam_total
+
+
+def test_mss_curve_cv_builds_one_distance_matrix_per_fold_and_never_seeds(monkeypatch):
+    d, _ = redundant_groups(90, 3, [3, 3], strengths=[2.0, 2.0], noise=0.3, seed=1)
+    cfg = SelectionConfig(seed=7, perplexity=2.5, tsne_iterations=100, fold_count=4)
+    calls = []
+    real = kmedoids.squared_pairwise
+
+    def counting(x):
+        calls.append(x.shape)
+        return real(x)
+
+    def no_seeding(*args, **kwargs):
+        raise AssertionError("k-means++ seeding called")
+
+    monkeypatch.setattr(kmedoids, "squared_pairwise", counting)
+    monkeypatch.setattr(kmedoids, "kmeanspp_init", no_seeding)
+    curve = mss_curve_cv(minmax_normalize(d), cfg)
+    assert calls == [(6, 2)] * cfg.fold_count
+    assert curve.ks.tolist() == [2, 3, 4, 5, 6]

@@ -222,7 +222,7 @@ class TestIndexCurves:
         data, _ = duplicate_groups
         cfg = small_cfg()
         emb, _ = select_at_k(data, 2, cfg)
-        curves = index_curves(emb.coords, range(2, 6), cfg.seed)
+        curves = index_curves(emb.coords, range(2, 6))
         assert len(curves.silhouette) == 4
         assert len(curves.clusterings) == 4
         assert np.all(np.isfinite(curves.silhouette))
