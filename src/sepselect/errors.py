@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the check of positive
-numeric options that raises them."""
+"""Exception types shared across the package, and the checks of numeric
+options that raise them."""
 
 import math
+import numbers
 
 
 class DataError(ValueError):
@@ -17,3 +18,10 @@ def require_positive(name, value):
     inf slip through a plain `value <= 0` test)."""
     if not (math.isfinite(value) and value > 0):
         raise DataError(f"{name} must be a positive finite number, got {value}")
+
+
+def require_integer(name, value, minimum):
+    """Raise DataError unless value is an integer (a bool is not) of at
+    least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise DataError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -12,6 +12,20 @@ the validity index is evaluated on that geometry. The strategy is
 isolated in validation_mss() so an alternative reading is a one-function
 change.
 
+Workers: the folds are independent, so they run on one process per
+usable CPU (os.sched_getaffinity), at most one per fold. Fold f runs in
+worker f mod workers; worker 0 is the calling process and the others
+are forked children that send their folds' outcomes back, pickled,
+through a pipe. Where the platform has no os.fork or no
+os.sched_getaffinity, or one CPU is usable, every fold runs in the
+calling process. Each fold's warnings are recorded and its exception
+caught; the caller then replays the folds in fold order, issuing each
+fold's warnings and raising the first fold error with its type and
+message, as a serial loop would. Outputs do not depend on the worker
+count. A child that dies without sending its result raises RuntimeError
+naming the fold and the exit status, and every child is reaped before
+mss_curve_cv returns or raises.
+
 Clustering: each fold embedding is clustered for the whole k sweep by
 one warm-started pam_sweep, which draws no random numbers; the final
 clustering at k_min (select_at_k) is a seeded pam_cluster with k-means++
@@ -22,6 +36,10 @@ base + 1 + f. The final clustering's seed is derived from (base, k)
 through SeedSequence, so runs are reproducible.
 """
 
+import os
+import pickle
+import signal
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,7 +47,7 @@ import numpy as np
 
 from .dataio import SplitSpec, check_fold_classes, make_folds
 from .distances import cross
-from .errors import DataError, require_positive
+from .errors import DataError, require_integer, require_positive
 from .kmedoids import _assign, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
@@ -56,6 +74,8 @@ class SelectionConfig:
             raise DataError("k_max must be >= 4 (knee detection needs 3 curve points)")
         require_positive("perplexity", self.perplexity)
         require_positive("knee_sensitivity", self.knee_sensitivity)
+        require_integer("tsne_iterations", self.tsne_iterations, 1)
+        require_integer("smoothing_window", self.smoothing_window, 0)
 
     def tsne_config(self, seed):
         return TsneConfig(perplexity=self.perplexity, iterations=self.tsne_iterations, seed=seed)
@@ -127,7 +147,8 @@ def mss_curve_cv(train, cfg):
     Every fold embeds its own train part (fold-derived t-SNE seed),
     clusters it for each k with one pam_sweep, and scores the medoid
     features on the validation part; folds undefined at some k are skipped
-    in the average at that k.
+    in the average at that k. The folds run in parallel worker processes
+    (see the module docstring); the result does not depend on how many.
     """
     m = train.n_features
     k_hi = min(cfg.k_max or m, m)
@@ -138,18 +159,133 @@ def mss_curve_cv(train, cfg):
 
     folds = make_folds(train, SplitSpec(fold_count=cfg.fold_count, seed=cfg.seed))
     check_fold_classes(train, folds)
-    fold_values = np.full((cfg.fold_count, len(ks)), np.nan)
-    for f, (tr_part, val_part) in enumerate(folds):
-        z_tr = build_feature_space(tr_part)
-        d_val = validation_distances(build_feature_space(val_part))
-        emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
-        for j, clustering in enumerate(pam_sweep(emb.coords, k_hi)):
-            fold_values[f, j] = validation_mss(d_val, clustering.medoids)
+    fold_values = np.array(_fold_rows(folds, cfg, k_hi))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
         averaged = np.nanmean(fold_values, axis=0)
     return MSSCurve(ks=ks, fold_values=fold_values, averaged=averaged)
+
+
+def _fold_values(tr_part, val_part, cfg, f, k_hi):
+    """Validity values of fold f at k = 2..k_hi: the train part's embedding
+    (seed base + 1 + f) clustered by one pam_sweep, each k's medoid
+    features scored on the validation part."""
+    z_tr = build_feature_space(tr_part)
+    d_val = validation_distances(build_feature_space(val_part))
+    emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
+    return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(emb.coords, k_hi)])
+
+
+def _worker_count(fold_count):
+    """Processes the folds run on: the usable CPUs, at most one per fold;
+    1 where the platform cannot fork or report the CPUs usable."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), fold_count)
+
+
+def _run_share(folds, cfg, k_hi, share):
+    """{fold: (warnings, error, values)} for the folds of share, run in
+    order. Warnings are recorded as (message, category, filename, lineno);
+    the share stops at its first error, as no later fold's outcome is
+    replayed after it."""
+    outcomes = {}
+    for f in share:
+        values = error = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                values = _fold_values(*folds[f], cfg, f, k_hi)
+            except Exception as exc:  # replayed by the caller, in fold order
+                error = exc
+        recorded = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        outcomes[f] = (recorded, error, values)
+        if error is not None:
+            break
+    return outcomes
+
+
+def _child(write_fd, folds, cfg, k_hi, share):
+    """Body of a forked worker: send the share's outcomes, pickled, through
+    write_fd and exit without returning; status 0 only once all is sent."""
+    status = 1
+    try:
+        payload = pickle.dumps(_run_share(folds, cfg, k_hi, share))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _replay_warning(message, category, filename, lineno):
+    """Issue a recorded warning again as warnings.warn issued it: same
+    location, module and per-module registry, so a filter that shows a
+    warning once per location still does."""
+    module = next(
+        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
+    )
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        registry = vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+
+
+def _fold_rows(folds, cfg, k_hi):
+    """Every fold's validity values, in fold order, over _worker_count
+    processes (see the module docstring). Each fold's warnings are issued
+    in fold order and the first fold error is raised after the warnings
+    of the folds before it."""
+    workers = _worker_count(len(folds))
+    shares = [range(w, len(folds), workers) for w in range(workers)]
+    children = []  # (pid, read end of its pipe, its share)
+    exit_codes = {}  # pid -> exit code, once reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child(write_fd, folds, cfg, k_hi, share)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        outcomes = _run_share(folds, cfg, k_hi, shares[0])
+        lost = {}  # fold -> exit code of the child that ran it and sent nothing
+        for pid, read_fd, share in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if exit_codes[pid] == 0 and payload:
+                outcomes.update(pickle.loads(payload))
+            else:
+                lost.update(dict.fromkeys(share, exit_codes[pid]))
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            if pid not in exit_codes:  # leaving on an error or an interrupt
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    rows = []
+    for f in range(len(folds)):
+        if f in lost:
+            raise RuntimeError(
+                f"the worker process of fold {f} exited with status {lost[f]} without a result"
+            )
+        caught, error, values = outcomes[f]
+        for record in caught:
+            _replay_warning(*record)
+        if error is not None:
+            raise error
+        rows.append(values)
+    return rows
 
 
 def select_features(train, cfg):

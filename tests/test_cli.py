@@ -1,5 +1,7 @@
 import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,51 @@ class TestSelect:
         assert main(_select_args(csv_path, outdir, ["--perplexity", value])) == cli.EXIT_DATA
         assert "perplexity must lie in [1, M-1] = [1, 7]" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tsne-iterations", "0", "tsne_iterations must be an integer >= 1, got 0"),
+            ("--tsne-iterations", "-5", "tsne_iterations must be an integer >= 1, got -5"),
+            ("--smoothing-window", "-1", "smoothing_window must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_counts_fail_before_any_fold(
+        self, csv_path, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        # these once failed only inside the folds (tsne_iterations) or after
+        # the whole sweep (smoothing_window, at knee detection)
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "out")
+        assert main(_select_args(csv_path, outdir, [flag, value])) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert calls == []
+
+    def test_one_cpu_and_all_cpus_write_identical_artifacts(self, csv_path, tmp_path):
+        # the folds run in one process per usable CPU; pinned to one CPU
+        # they all run in the calling process
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        script = "import sys; from sepselect.cli import main; sys.exit(main(sys.argv[1:]))"
+        cpu = min(os.sched_getaffinity(0))
+        runs = {"one": lambda: os.sched_setaffinity(0, {cpu}), "all": None}
+        for name, pin in runs.items():
+            args = _select_args(csv_path, str(tmp_path / name), ["--index-curves"])
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *args],
+                env=env, preexec_fn=pin, capture_output=True, timeout=300, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+        for artifact in ("report.txt", "curve.csv", "indices.csv", "embedding.csv"):
+            one, every = (open(tmp_path / run / artifact, "rb").read() for run in runs)
+            assert one == every, artifact
 
     def test_all_artifacts_are_byte_identical_across_runs(self, csv_path, tmp_path):
         runs = [str(tmp_path / name) for name in ("a1", "a2")]

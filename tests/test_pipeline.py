@@ -1,7 +1,14 @@
+import os
+import signal
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from _datasets import redundant_groups
+from sepselect import pipeline
 from sepselect.dataio import Dataset, minmax_normalize
 from sepselect.errors import DataError
 from sepselect.pipeline import (
@@ -47,6 +54,16 @@ def duplicate_groups():
         exact_copies=True,
     )
     return minmax_normalize(d), groups
+
+
+def tied_rows(tie):
+    # 5 of 10 columns constant, or copies of one column: their separability
+    # rows coincide, so each has 4 tied nearest neighbors against perplexity 3
+    rng = np.random.default_rng(3)
+    labels = np.array(["a", "b", "c"] * 30, dtype=object)
+    x = rng.random((90, 10)) + 0.3 * (np.arange(90) % 3)[:, None]
+    x[:, 5:] = 0.5 if tie == "constant" else x[:, 5:6]
+    return Dataset(x, labels, [f"f{j}" for j in range(10)], ["a", "b", "c"])
 
 
 def _validation_mss(z, medoids):
@@ -188,15 +205,9 @@ class TestSelectFeatures:
 
     @pytest.mark.parametrize("tie", ["constant", "duplicate"])
     def test_tied_separability_rows_give_selection_or_data_error(self, tie):
-        # 5 of 10 columns constant, or copies of one column: their
-        # separability rows coincide, so each has 4 tied nearest neighbors
-        # against perplexity 3; t-SNE once raised NumericalError "bandwidth
-        # search failed to bracket" here
-        rng = np.random.default_rng(3)
-        labels = np.array(["a", "b", "c"] * 30, dtype=object)
-        x = rng.random((90, 10)) + 0.3 * (np.arange(90) % 3)[:, None]
-        x[:, 5:] = 0.5 if tie == "constant" else x[:, 5:6]
-        data = Dataset(x, labels, [f"f{j}" for j in range(10)], ["a", "b", "c"])
+        # t-SNE once raised NumericalError "bandwidth search failed to
+        # bracket" here
+        data = tied_rows(tie)
         try:
             result = select_features(data, small_cfg(perplexity=3.0))
         except DataError:
@@ -210,11 +221,184 @@ class TestSelectFeatures:
         with pytest.raises(DataError):
             SelectionConfig(fold_count=1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tsne_iterations", 0),
+            ("tsne_iterations", 2.5),
+            ("tsne_iterations", True),
+            ("tsne_iterations", "100"),
+            ("smoothing_window", -1),
+            ("smoothing_window", 1.0),
+        ],
+    )
+    def test_config_rejects_counts_that_are_not_integers_in_range(self, field, value):
+        # tsne_iterations=2.5 was once a TypeError from inside fold 0
+        with pytest.raises(DataError, match=f"{field} must be an integer >= "):
+            SelectionConfig(**{field: value})
+
+    def test_config_accepts_numpy_integer_counts(self):
+        cfg = SelectionConfig(tsne_iterations=np.int64(50), smoothing_window=np.int32(0))
+        assert cfg.tsne_iterations == 50
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("field", ["perplexity", "knee_sensitivity"])
     def test_config_rejects_non_positive_or_non_finite(self, field, value):
         with pytest.raises(DataError, match=f"{field} must be a positive finite number"):
             SelectionConfig(**{field: value})
+
+
+def pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(pipeline, "_worker_count", lambda fold_count: workers)
+
+
+def fold_of(tsne_cfg, cfg):
+    return tsne_cfg.seed - cfg.seed - 1  # fold f embeds with seed base + 1 + f
+
+
+def recorded_selection(data, cfg):
+    """select_features(data, cfg) and its warnings as (category, message), in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = select_features(data, cfg)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestFoldWorkers:
+    @pytest.fixture(autouse=True)
+    def bounded_and_no_child_left(self):
+        def hung(signum, frame):
+            raise TimeoutError("the fold workers took more than 120 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)  # forked children do not inherit the alarm
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):  # no child, running or zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["redundant", "tied duplicate"])
+    def test_outputs_and_warnings_do_not_depend_on_worker_count(self, case, redundant, monkeypatch):
+        if case == "redundant":
+            data, cfg = redundant, small_cfg(perplexity=12.0, tsne_iterations=120)
+        else:
+            data, cfg = tied_rows("duplicate"), small_cfg(perplexity=3.0)
+        runs = []
+        for workers in (1, 2, 3):
+            pin_workers(monkeypatch, workers)
+            runs.append(recorded_selection(data, cfg))
+        (first, first_warnings), others = runs[0], runs[1:]
+        assert first_warnings or case == "redundant"  # the tied rows warn in every fold
+        for result, caught in others:
+            assert result.curve.fold_values.tobytes() == first.curve.fold_values.tobytes()
+            assert result.embedding.coords.tobytes() == first.embedding.coords.tobytes()
+            assert result.selected_features == first.selected_features
+            assert result.knee_source == first.knee_source
+            assert caught == first_warnings
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_warning_every_fold_repeats_shows_once_under_the_default_filter(
+        self, workers, monkeypatch
+    ):
+        # as in a serial loop, where warnings.warn shows a message once per
+        # location; the tied rows give the same tie warnings in every fold
+        pin_workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            mss_curve_cv(tied_rows("duplicate"), small_cfg(perplexity=3.0))
+        messages = [str(w.message) for w in caught]
+        assert messages and len(messages) == len(set(messages))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_fold_error_follows_the_warnings_of_earlier_folds(
+        self, workers, redundant, monkeypatch
+    ):
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        real = pipeline.embed
+
+        def failing_embed(z, tsne_cfg):
+            f = fold_of(tsne_cfg, cfg)
+            warnings.warn(f"fold {f} embedding")
+            if f in (2, 4):
+                raise DataError(f"fold {f} failed")
+            return real(z, tsne_cfg)
+
+        monkeypatch.setattr(pipeline, "embed", failing_embed)
+        pin_workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError) as info:
+                mss_curve_cv(redundant, cfg)
+        assert type(info.value) is DataError and str(info.value) == "fold 2 failed"
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, f"fold {f} embedding") for f in range(3)
+        ]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_assertion_in_a_child_comes_back_as_assertion(self, workers, redundant, monkeypatch):
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        parent, real = os.getpid(), pipeline.embed
+
+        def asserting_embed(z, tsne_cfg):
+            if os.getpid() != parent:
+                raise AssertionError(f"fold {fold_of(tsne_cfg, cfg)} ran in a child")
+            return real(z, tsne_cfg)
+
+        monkeypatch.setattr(pipeline, "embed", asserting_embed)
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(AssertionError, match=r"^fold 1 ran in a child$"):
+            mss_curve_cv(redundant, cfg)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_that_dies_gives_runtime_error(self, workers, redundant, monkeypatch):
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        parent, real = os.getpid(), pipeline.embed
+
+        def dying_embed(z, tsne_cfg):
+            if os.getpid() != parent and fold_of(tsne_cfg, cfg) == 1:
+                os._exit(1)
+            return real(z, tsne_cfg)
+
+        monkeypatch.setattr(pipeline, "embed", dying_embed)
+        pin_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError) as info:
+            mss_curve_cv(redundant, cfg)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == (
+            "the worker process of fold 1 exited with status 1 without a result"
+        )
+
+    def test_interrupt_in_this_process_stops_and_reaps_the_children(self, redundant, monkeypatch):
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        parent, real = os.getpid(), pipeline.embed
+
+        def interrupted_embed(z, tsne_cfg):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(z, tsne_cfg)
+
+        monkeypatch.setattr(pipeline, "embed", interrupted_embed)
+        pin_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            mss_curve_cv(redundant, cfg)
+
+
+def test_import_loads_no_process_pool_module():
+    # the fold workers are forked directly: importing either module would
+    # add 20-85 ms to every run's start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, sepselect; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestIndexCurves:
