@@ -9,7 +9,7 @@ are the selected features.
 
 from .baselines import RankedFeatures, cfs_select, fisher_scores, random_select, relieff_weights
 from .classify import EvalReport, accuracy, balanced_f, evaluate, knn_predict
-from .dataio import Dataset, SplitSpec, load_csv, make_folds, minmax_normalize, split_train_test
+from .dataio import Dataset, load_csv, make_folds, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
 from .kmedoids import ClusteringResult, kmeanspp_init, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
@@ -32,7 +32,6 @@ from .separability import (
 )
 from .tsne import (
     Embedding,
-    TsneConfig,
     conditional_affinities,
     embed,
     kl_divergence,
@@ -50,8 +49,8 @@ __all__ = [
     "DataError",
     "Dataset",
     "DistanceCounter",
-    "EvalReport",
     "Embedding",
+    "EvalReport",
     "IndexCurves",
     "IndexReport",
     "MSSCurve",
@@ -60,8 +59,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "SeparabilityMatrix",
-    "SplitSpec",
-    "TsneConfig",
     "accuracy",
     "balanced_f",
     "build_feature_space",

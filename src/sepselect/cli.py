@@ -23,7 +23,7 @@ from .baselines import (
     relieff_weights,
 )
 from .classify import DEFAULT_NEIGHBORS, evaluate
-from .dataio import SplitSpec, load_csv, minmax_normalize, split_train_test
+from .dataio import TRAIN_FRACTION, load_csv, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
 from .separability import build_feature_space, pair_column_names
@@ -127,7 +127,7 @@ def build_parser():
         required=True,
         help="comma-separated feature indices or names, or 'all'",
     )
-    p_eval.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+    p_eval.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_embed = sub.add_parser("embed-only", help="export the feature embedding")
@@ -187,6 +187,12 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_table(path, header, rows):
+    """CSV of a header and rows of cells (str(cell) each), one line each."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _config_echo(cfg):
     lines = ["config:", f"  input: {cfg.input_path}", f"  label_column: {cfg.label_column}"]
     for f in fields(SelectionConfig):
@@ -222,7 +228,10 @@ def cmd_select(args):
         lines.append(f"  k={int(k)} {float(v)!r}")
     _write(os.path.join(outdir, "report.txt"), "\n".join(lines) + "\n")
 
-    _write_curve_csv(os.path.join(outdir, "curve.csv"), result.curve)
+    curve = result.curve
+    header = ["k", "averaged"] + [f"fold_{f}" for f in range(len(curve.fold_values))]
+    values = np.column_stack([curve.averaged, curve.fold_values.T])
+    _write_table(os.path.join(outdir, "curve.csv"), header, _float_rows(curve.ks, values))
     _write_embedding_csv(
         os.path.join(outdir, "embedding.csv"), data.feature_names, result.embedding.coords
     )
@@ -234,7 +243,12 @@ def cmd_select(args):
     if args.index_curves:
         ks = result.curve.ks
         curves = index_curves(result.embedding.coords, ks)
-        _write_indices_csv(os.path.join(outdir, "indices.csv"), curves)
+        values = np.column_stack([curves.silhouette, curves.simplified, curves.mean_simplified])
+        _write_table(
+            os.path.join(outdir, "indices.csv"),
+            ["k", "silhouette", "ss", "mss"],
+            _float_rows(ks, values),
+        )
         if args.plots:
             chart = LineChart(title="validity indices", x_label="k", y_label="index")
             chart.add_series(ks, curves.silhouette, label="silhouette")
@@ -265,40 +279,14 @@ def cmd_select(args):
     return EXIT_OK
 
 
-def _write_curve_csv(path, curve):
-    fold_count = curve.fold_values.shape[0]
-    header = "k,averaged," + ",".join(f"fold_{f}" for f in range(fold_count))
-    rows = [header]
-    for j, k in enumerate(curve.ks):
-        cells = [str(int(k)), repr(float(curve.averaged[j]))]
-        cells += [repr(float(v)) for v in curve.fold_values[:, j]]
-        rows.append(",".join(cells))
-    _write(path, "\n".join(rows) + "\n")
+def _float_rows(keys, values):
+    """One row per key (a name or a k): the key, then the repr of each float
+    in its row of values."""
+    return [[key, *(repr(float(v)) for v in row)] for key, row in zip(keys, values)]
 
 
 def _write_embedding_csv(path, feature_names, coords):
-    dims = coords.shape[1]
-    axis_names = ["x", "y"][:dims] if dims <= 2 else [f"c{i}" for i in range(dims)]
-    rows = ["feature," + ",".join(axis_names)]
-    for name, row in zip(feature_names, coords):
-        rows.append(",".join([str(name)] + [repr(float(v)) for v in row]))
-    _write(path, "\n".join(rows) + "\n")
-
-
-def _write_indices_csv(path, curves):
-    rows = ["k,silhouette,ss,mss"]
-    for j, k in enumerate(curves.ks):
-        rows.append(
-            ",".join(
-                [
-                    str(int(k)),
-                    repr(float(curves.silhouette[j])),
-                    repr(float(curves.simplified[j])),
-                    repr(float(curves.mean_simplified[j])),
-                ]
-            )
-        )
-    _write(path, "\n".join(rows) + "\n")
+    _write_table(path, ["feature", "x", "y"], _float_rows(feature_names, coords))
 
 
 def _baseline_subset(method, train, k, seed, relieff_neighbors):
@@ -323,8 +311,8 @@ def cmd_baseline(args):
         print(f"{j},{data.feature_names[j]}")
     if args.output_dir is not None:
         outdir = _outdir(cfg)
-        rows = ["index,feature"] + [f"{j},{data.feature_names[j]}" for j in subset]
-        _write(os.path.join(outdir, "subset.csv"), "\n".join(rows) + "\n")
+        rows = [(j, data.feature_names[j]) for j in subset]
+        _write_table(os.path.join(outdir, "subset.csv"), ["index", "feature"], rows)
     return EXIT_OK
 
 
@@ -353,8 +341,7 @@ def cmd_evaluate(args):
     cfg = _run_config(args)
     data = _load_normalized(cfg)
     subset = _parse_features(args.features, data)
-    spec = SplitSpec(train_fraction=args.train_fraction, seed=cfg.selection.seed)
-    train, test = split_train_test(data, spec)
+    train, test = split_train_test(data, cfg.selection.seed, args.train_fraction)
     report = evaluate(train, test, subset, n_neighbors=cfg.n_neighbors)
     print(
         f"# input={cfg.input_path} seed={cfg.selection.seed} "
@@ -374,15 +361,13 @@ def cmd_embed_only(args):
     outdir = _outdir(cfg)
     z = build_feature_space(data)
     sel = cfg.selection
-    embedding = embed(z, sel.tsne_config(seed=sel.seed))
+    embedding = embed(z, sel.perplexity, sel.tsne_iterations, sel.seed)
     _write_embedding_csv(
         os.path.join(outdir, "embedding.csv"), data.feature_names, embedding.coords
     )
     if args.export_z:
-        rows = ["feature," + ",".join(pair_column_names(data.class_ids))]
-        for name, row in zip(data.feature_names, z.z):
-            rows.append(",".join([str(name)] + [repr(float(v)) for v in row]))
-        _write(os.path.join(outdir, "z.csv"), "\n".join(rows) + "\n")
+        header = ["feature"] + pair_column_names(data.class_ids)
+        _write_table(os.path.join(outdir, "z.csv"), header, _float_rows(data.feature_names, z.z))
     print(
         f"# input={cfg.input_path} seed={sel.seed} perplexity={sel.perplexity} "
         f"tsne_iterations={sel.tsne_iterations}"
@@ -401,7 +386,7 @@ def cmd_compare(args):
 
     # k_min from a full CV selection on the first repetition's training split
     sel_cfg = cfg.selection
-    train0, test0 = split_train_test(data, SplitSpec(seed=sel_cfg.seed))
+    train0, test0 = split_train_test(data, sel_cfg.seed)
     result = select_features(train0, sel_cfg)
     k_min = result.k_min
 
@@ -416,7 +401,7 @@ def cmd_compare(args):
             # same split, seed and k as the selection's final clustering
             train, test, selected = train0, test0, result.selected_features
         else:
-            train, test = split_train_test(data, SplitSpec(seed=rep_seed))
+            train, test = split_train_test(data, rep_seed)
             _, clustering = select_at_k(train, k_min, replace(sel_cfg, seed=rep_seed))
             selected = clustering.medoids.tolist()
         subsets = {"sepselect": selected}

@@ -5,6 +5,11 @@ separator. The label column is picked by name (exact header match wins)
 or by zero-based index. Every non-label cell must parse as a finite real
 number (`nan` and `inf` are rejected); missing-value handling and
 categorical encoding are out of scope.
+
+Splits take their options as plain arguments: split_train_test a seed
+and a train fraction (default TRAIN_FRACTION), make_folds a fold count
+and a seed. The selection's fold count and seed default in
+pipeline.SelectionConfig. Both are deterministic for a fixed seed.
 """
 
 import csv
@@ -12,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_integer
+
+TRAIN_FRACTION = 0.75  # share of rows the train side of split_train_test gets
 
 
 @dataclass
@@ -78,23 +85,6 @@ class Dataset:
             feature_names=list(self.feature_names),
             class_ids=list(self.class_ids),
         )
-
-
-@dataclass
-class SplitSpec:
-    """Parameters of the train/test split and the cross-validation folds."""
-
-    train_fraction: float = 0.75
-    fold_count: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.fold_count < 2:
-            raise DataError(f"fold_count must be >= 2, got {self.fold_count}")
-        if self.seed < 0:
-            raise DataError("seed must be a non-negative integer")
 
 
 def load_csv(path, label_column):
@@ -196,31 +186,36 @@ def minmax_normalize(d):
     )
 
 
-def split_train_test(d, s):
+def split_train_test(d, seed, train_fraction=TRAIN_FRACTION):
     """Disjoint random row split; train gets round(train_fraction * N) rows."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    require_integer("seed", seed, 0)
     n = d.n_instances
-    train_n = int(round(s.train_fraction * n))
+    train_n = int(round(train_fraction * n))
     if train_n < 1 or n - train_n < 1:
         raise DataError(
-            f"split leaves an empty side: N={n}, train_fraction={s.train_fraction}"
+            f"split leaves an empty side: N={n}, train_fraction={train_fraction}"
         )
-    perm = np.random.default_rng(s.seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     train_idx = np.sort(perm[:train_n])
     test_idx = np.sort(perm[train_n:])
     return d.select_rows(train_idx), d.select_rows(test_idx)
 
 
-def make_folds(d, s):
+def make_folds(d, fold_count, seed):
     """fold_count (train_part, validation_part) pairs.
 
     Validation parts are disjoint and cover the dataset; identical seeds
     reproduce bit-identical index sets.
     """
+    require_integer("fold_count", fold_count, 2)
+    require_integer("seed", seed, 0)
     n = d.n_instances
-    if s.fold_count > n:
-        raise DataError(f"fold_count {s.fold_count} exceeds instance count {n}")
-    perm = np.random.default_rng(s.seed).permutation(n)
-    chunks = np.array_split(perm, s.fold_count)
+    if fold_count > n:
+        raise DataError(f"fold_count {fold_count} exceeds instance count {n}")
+    perm = np.random.default_rng(seed).permutation(n)
+    chunks = np.array_split(perm, fold_count)
     folds = []
     for i, chunk in enumerate(chunks):
         val_idx = np.sort(chunk)

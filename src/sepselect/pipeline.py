@@ -45,19 +45,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import SplitSpec, check_fold_classes, make_folds
+from .dataio import check_fold_classes, make_folds
 from .distances import cross
 from .errors import DataError, require_integer, require_positive
 from .kmedoids import _assign, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
-from .tsne import Embedding, TsneConfig, check_perplexity, embed
+from .tsne import Embedding, check_perplexity, embed
 from .validity import mss, mss_from_distances, silhouette, simplified_silhouette
 
 
 @dataclass
 class SelectionConfig:
-    """Knobs of the selection pipeline; echoed verbatim into reports."""
+    """Every option of the selection pipeline and its default; echoed
+    verbatim into reports."""
 
     seed: int = 0
     perplexity: float = 30.0
@@ -68,17 +69,15 @@ class SelectionConfig:
     smoothing_window: int = 0
 
     def __post_init__(self):
-        if self.fold_count < 2:
-            raise DataError("fold_count must be >= 2")
-        if self.k_max is not None and self.k_max < 4:
-            raise DataError("k_max must be >= 4 (knee detection needs 3 curve points)")
+        require_integer("seed", self.seed, 0)
+        require_integer("fold_count", self.fold_count, 2)
+        if self.k_max is not None:
+            # knee detection needs 3 curve points, k = 2..4
+            require_integer("k_max", self.k_max, 4)
         require_positive("perplexity", self.perplexity)
         require_positive("knee_sensitivity", self.knee_sensitivity)
         require_integer("tsne_iterations", self.tsne_iterations, 1)
         require_integer("smoothing_window", self.smoothing_window, 0)
-
-    def tsne_config(self, seed):
-        return TsneConfig(perplexity=self.perplexity, iterations=self.tsne_iterations, seed=seed)
 
 
 @dataclass
@@ -107,7 +106,6 @@ class SelectionResult:
     selected_names: list
     embedding: Embedding
     curve: MSSCurve
-    seed: int
     config: SelectionConfig
     knee_source: str = "kneedle"
 
@@ -157,7 +155,7 @@ def mss_curve_cv(train, cfg):
         raise DataError(f"k sweep [2, {k_hi}] too short for knee detection")
     check_perplexity(cfg.perplexity, m)  # every fold embeds the m features
 
-    folds = make_folds(train, SplitSpec(fold_count=cfg.fold_count, seed=cfg.seed))
+    folds = make_folds(train, cfg.fold_count, cfg.seed)
     check_fold_classes(train, folds)
     fold_values = np.array(_fold_rows(folds, cfg, k_hi))
 
@@ -173,7 +171,7 @@ def _fold_values(tr_part, val_part, cfg, f, k_hi):
     features scored on the validation part."""
     z_tr = build_feature_space(tr_part)
     d_val = validation_distances(build_feature_space(val_part))
-    emb = embed(z_tr, cfg.tsne_config(seed=cfg.seed + 1 + f))
+    emb = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
     return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(emb.coords, k_hi)])
 
 
@@ -320,7 +318,6 @@ def select_features(train, cfg):
         selected_names=[train.feature_names[j] for j in selected],
         embedding=embedding,
         curve=curve,
-        seed=cfg.seed,
         config=cfg,
         knee_source=knee_source,
     )
@@ -331,7 +328,7 @@ def select_at_k(train, k, cfg):
     cluster at k. Returns (embedding, clustering); the medoids are the
     selected feature indices."""
     z = build_feature_space(train)
-    embedding = embed(z, cfg.tsne_config(seed=cfg.seed))
+    embedding = embed(z, cfg.perplexity, cfg.tsne_iterations, cfg.seed)
     clustering = pam_cluster(embedding.coords, k, _derived_seed(cfg.seed, k))
     return embedding, clustering
 

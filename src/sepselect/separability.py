@@ -45,7 +45,7 @@ class SeparabilityMatrix:
         return self.z.shape[0]
 
 
-def class_stats(d, var_floor=VAR_FLOOR):
+def class_stats(d):
     """Class-conditional mean and clamped biased variance for every feature."""
     codes = d.label_codes()
     m, c = d.n_features, d.n_classes
@@ -58,7 +58,7 @@ def class_stats(d, var_floor=VAR_FLOOR):
         sub = d.instances[mask]
         mean[:, ci] = sub.mean(axis=0)
         var[:, ci] = sub.var(axis=0)  # biased (divide by class count)
-    return ClassStats(mean=mean, variance=np.maximum(var, var_floor))
+    return ClassStats(mean=mean, variance=np.maximum(var, VAR_FLOOR))
 
 
 def _jm_from_stats(mean, variance):
@@ -85,9 +85,9 @@ def jm_matrix(stats, feature):
     return _jm_from_stats(stats.mean[feature], stats.variance[feature])
 
 
-def build_feature_space(d, var_floor=VAR_FLOOR):
+def build_feature_space(d):
     """Stack every feature's reshaped JM matrix into an M x C^2 matrix."""
-    stats = class_stats(d, var_floor=var_floor)
+    stats = class_stats(d)
     jm = _jm_from_stats(stats.mean, stats.variance)  # (M, C, C)
     m, c = d.n_features, d.n_classes
     return SeparabilityMatrix(z=jm.reshape(m, c * c))

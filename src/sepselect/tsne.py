@@ -11,6 +11,12 @@ effective neighbor count matches the requested perplexity) -> symmetrized
 affinities P -> gradient descent with momentum and early exaggeration on
 low-dimensional Student-t affinities Q, minimizing KL(P || Q).
 
+Options. embed takes the perplexity, the iteration count and the seed,
+whose defaults live in pipeline.SelectionConfig. The rest is fixed, not
+an option: output dimension 2, learning rate 200, early exaggeration 4
+for the first 100 iterations, momentum 0.5 switching to 0.8 at iteration
+250, and a bisection tolerance of 1e-7 in perplexity units.
+
 Cost and memory, for M points. The bandwidth search bisects all rows in
 lockstep: one step is a few numpy passes over the rows still open, in
 blocks of about M/2 rows, instead of a Python loop per row and step; a
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import squared_pairwise
-from .errors import DataError, NumericalError, require_positive
+from .errors import DataError, NumericalError, require_integer
 
 # Affinity floors: no off-diagonal entry below this enters a logarithm.
 P_FLOOR = 1e-12
@@ -51,48 +57,21 @@ Q_FLOOR = 1e-12
 _BISECT_MAX_ITER = 50
 _PERPLEXITY_TOL = 1e-7  # absolute, in perplexity (2^entropy) units
 
-
-@dataclass
-class TsneConfig:
-    """Embedding hyperparameters.
-
-    Defaults follow common exact t-SNE practice: learning rate 200, early
-    exaggeration 4 for the first 100 iterations, momentum 0.5 switching
-    to 0.8 at iteration 250, initialization from a 1e-4-sigma spherical
-    Gaussian.
-    """
-
-    perplexity: float = 30.0
-    iterations: int = 1000
-    output_dim: int = 2
-    learning_rate: float = 200.0
-    early_exaggeration: float = 4.0
-    exaggeration_iters: int = 100
-    momentum_initial: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
-    seed: int = 0
-
-    def __post_init__(self):
-        require_positive("perplexity", self.perplexity)
-        if self.iterations < 1:
-            raise DataError("iterations must be a positive integer")
-        if self.output_dim < 1:
-            raise DataError("output_dim must be >= 1")
-        require_positive("learning_rate", self.learning_rate)
-        require_positive("early_exaggeration", self.early_exaggeration)
-        for m in (self.momentum_initial, self.momentum_final):
-            if not 0.0 <= m < 1.0:
-                raise DataError(f"momentum must be in [0, 1), got {m}")
-        if self.seed < 0:
-            raise DataError("seed must be a non-negative integer")
+# The descent schedule (common exact t-SNE practice); fixed, not options.
+_OUTPUT_DIM = 2
+_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 4.0
+_EXAGGERATION_ITERS = 100
+_MOMENTUM_INITIAL = 0.5
+_MOMENTUM_FINAL = 0.8
+_MOMENTUM_SWITCH_ITER = 250
 
 
 @dataclass
 class Embedding:
     """Low-dimensional coordinates, one row per input point."""
 
-    coords: np.ndarray  # (M, R)
+    coords: np.ndarray  # (M, 2)
 
 
 def _as_points(z):
@@ -110,7 +89,7 @@ def check_perplexity(perplexity, m):
         )
 
 
-def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
+def conditional_affinities(z, perplexity):
     """Row-stochastic conditional affinity matrix with per-row bandwidths.
 
     Each row's precision beta = 1/(2 sigma^2) is bisected until the row's
@@ -140,7 +119,7 @@ def conditional_affinities(z, perplexity, tol=_PERPLEXITY_TOL):
     # underflows; the shift cancels in the normalization
     shifted -= nearest
 
-    p_rows = _normalized_kernel(shifted, _bandwidths(shifted, ties, perplexity, tol))
+    p_rows = _normalized_kernel(shifted, _bandwidths(shifted, ties, perplexity))
     p_rows[tied] = uniform
     p_cond = np.zeros((m, m))
     _off_diagonal(p_cond)[...] = p_rows.reshape(m - 1, m)
@@ -155,20 +134,20 @@ def _off_diagonal(a):
     return a.ravel()[1:].reshape(m - 1, m + 1)[:, :m]
 
 
-def _bandwidths(shifted, ties, target, tol):
+def _bandwidths(shifted, ties, target):
     """Bisected beta of every row of shifted, all rows in lockstep.
 
     shifted holds one row of squared distances per point, less the row's
     minimum, and ties[i] counts the zeros of row i. Each row runs its own
     bisection: it starts at beta 1, doubles or halves beta until the
     target is bracketed, then takes midpoints, and leaves once its
-    perplexity is within tol, keeping the beta it reached. A row still
-    open after _BISECT_MAX_ITER steps gets the beta of its smallest error
-    with a warning, or an error if it never bracketed the target. A row
-    with more ties than the target is not bisected (beta 1) and gets a
-    warning: the perplexity only falls towards the tie count as beta
-    grows. Warnings come in row order, and an error follows the warnings
-    of the rows before it only.
+    perplexity is within _PERPLEXITY_TOL, keeping the beta it reached. A
+    row still open after _BISECT_MAX_ITER steps gets the beta of its
+    smallest error with a warning, or an error if it never bracketed the
+    target. A row with more ties than the target is not bisected (beta 1)
+    and gets a warning: the perplexity only falls towards the tie count as
+    beta grows. Warnings come in row order, and an error follows the
+    warnings of the rows before it only.
     """
     m = len(shifted)
     is_tied = ties > target
@@ -183,7 +162,7 @@ def _bandwidths(shifted, ties, target, tol):
             break
         err = _row_perplexities(shifted, rows, beta) - target
         gap = np.abs(err)
-        keep = ~(gap <= tol)  # a nan error keeps its row open
+        keep = ~(gap <= _PERPLEXITY_TOL)  # a nan error keeps its row open
         rows, err, gap = rows[keep], err[keep], gap[keep]
         better = gap < best_err[rows]
         best_beta[rows[better]] = beta[rows[better]]
@@ -338,40 +317,39 @@ def _gradient_step(p, coords, w, q):
     return 4.0 * (q @ coords)
 
 
-def embed(z, cfg, initial_coords=None):
-    """Gradient-descent t-SNE embedding; deterministic for a fixed seed.
+def embed(z, perplexity, iterations, seed, initial_coords=None):
+    """Gradient-descent t-SNE embedding into 2-D on the fixed schedule (see
+    the module docstring); deterministic for a fixed seed.
 
-    initial_coords overrides the seeded Gaussian initialization (used by
-    equivariance tests); it must be (M, output_dim).
+    initial_coords overrides the seeded 1e-4-sigma Gaussian initialization
+    (used by equivariance tests); it must be (M, 2).
     """
+    require_integer("iterations", iterations, 1)
+    require_integer("seed", seed, 0)
     points = _as_points(z)
     m = points.shape[0]
     if m < 3:
         raise DataError(f"need at least 3 points to embed, got {m}")
 
-    p = symmetrize_affinities(conditional_affinities(points, cfg.perplexity))
-    rng = np.random.default_rng(cfg.seed)
+    p = symmetrize_affinities(conditional_affinities(points, perplexity))
+    rng = np.random.default_rng(seed)
     if initial_coords is None:
-        coords = rng.normal(0.0, 1e-4, size=(m, cfg.output_dim))
+        coords = rng.normal(0.0, 1e-4, size=(m, _OUTPUT_DIM))
     else:
         coords = np.array(initial_coords, dtype=float)
-        if coords.shape != (m, cfg.output_dim):
+        if coords.shape != (m, _OUTPUT_DIM):
             raise DataError("initial_coords shape mismatch")
     velocity = np.zeros_like(coords)
-    p_exaggerated = p * cfg.early_exaggeration
+    p_exaggerated = p * _EARLY_EXAGGERATION
     w, q = np.empty((m, m)), np.empty((m, m))
 
-    for it in range(cfg.iterations):
-        p_eff = p_exaggerated if it < cfg.exaggeration_iters else p
+    for it in range(iterations):
+        p_eff = p_exaggerated if it < _EXAGGERATION_ITERS else p
         grad = _gradient_step(p_eff, coords, w, q)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
-        momentum = (
-            cfg.momentum_initial
-            if it < cfg.momentum_switch_iter
-            else cfg.momentum_final
-        )
-        velocity = momentum * velocity - cfg.learning_rate * grad
+        momentum = _MOMENTUM_INITIAL if it < _MOMENTUM_SWITCH_ITER else _MOMENTUM_FINAL
+        velocity = momentum * velocity - _LEARNING_RATE * grad
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
     return Embedding(coords=coords)

@@ -20,7 +20,7 @@ import pytest
 from _datasets import redundant_groups, spearman, write_csv
 from sepselect.classify import evaluate
 from sepselect.cli import main
-from sepselect.dataio import SplitSpec, load_csv, minmax_normalize, split_train_test
+from sepselect.dataio import load_csv, minmax_normalize, split_train_test
 from sepselect.kmedoids import ClusteringResult, pam_cluster
 from sepselect.knee import Curve, kneedle
 from sepselect.pipeline import SelectionConfig, index_curves, mss_curve_cv, select_at_k, select_features
@@ -33,7 +33,6 @@ from sepselect.tsne import (
     low_dim_affinities,
     symmetrize_affinities,
 )
-from sepselect.tsne import TsneConfig
 from sepselect.validity import mss, silhouette, simplified_silhouette
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -162,11 +161,10 @@ def test_criterion_3_tsne_numerical_checks():
 
     d3, _ = redundant_groups(90, 3, [10, 10, 10], strengths=[2.0, 2.0, 2.0], noise=0.3, seed=33)
     z = build_feature_space(minmax_normalize(d3))
-    cfg = TsneConfig(perplexity=8.0, iterations=300, seed=4)
-    init = np.random.default_rng(cfg.seed).normal(0.0, 1e-4, size=(z.n_features, 2))
-    p = symmetrize_affinities(conditional_affinities(z.z, cfg.perplexity))
+    init = np.random.default_rng(4).normal(0.0, 1e-4, size=(z.n_features, 2))
+    p = symmetrize_affinities(conditional_affinities(z.z, 8.0))
     kl_start = kl_divergence(p, low_dim_affinities(init))
-    emb = embed(z, cfg, initial_coords=init)
+    emb = embed(z, 8.0, 300, 4, initial_coords=init)
     kl_end = kl_divergence(p, low_dim_affinities(emb.coords))
     assert kl_end < kl_start
 
@@ -218,11 +216,11 @@ def figure2_run():
     strengths = list(np.linspace(1.3, 0.08, len(sizes)))
     d, _ = redundant_groups(720, 12, sizes, strengths=strengths, noise=1.4, seed=11)
     data = minmax_normalize(d)
-    train, test = split_train_test(data, SplitSpec(seed=3))
+    train, test = split_train_test(data, 3)
 
     cfg = SelectionConfig(seed=3, perplexity=30.0, tsne_iterations=500, fold_count=5)
     curve = mss_curve_cv(train, cfg)
-    emb = embed(build_feature_space(train), cfg.tsne_config(seed=cfg.seed))
+    emb = embed(build_feature_space(train), cfg.perplexity, cfg.tsne_iterations, cfg.seed)
     curves = index_curves(emb.coords, curve.ks)
     accuracies = np.array(
         [
@@ -281,13 +279,13 @@ def table1_runs():
         datasets["cardio"] = (real_cardio, 10.0)
 
     for name, (data, perplexity) in datasets.items():
-        train, _ = split_train_test(data, SplitSpec(seed=5))
+        train, _ = split_train_test(data, 5)
         cfg = SelectionConfig(seed=5, perplexity=perplexity, tsne_iterations=500, fold_count=5)
         result = select_features(train, cfg)
 
         rows = []
         for r in range(10):
-            tr, te = split_train_test(data, SplitSpec(seed=100 + r))
+            tr, te = split_train_test(data, 100 + r)
             rep_cfg = SelectionConfig(
                 seed=100 + r, perplexity=perplexity, tsne_iterations=500
             )

@@ -11,7 +11,7 @@ from sepselect import cli, pipeline
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _run_config, build_parser, main
-from sepselect.dataio import SplitSpec
+from sepselect.dataio import split_train_test
 from sepselect.pipeline import SelectionConfig
 
 
@@ -163,6 +163,8 @@ class TestSelect:
             ("--tsne-iterations", "0", "tsne_iterations must be an integer >= 1, got 0"),
             ("--tsne-iterations", "-5", "tsne_iterations must be an integer >= 1, got -5"),
             ("--smoothing-window", "-1", "smoothing_window must be an integer >= 0, got -1"),
+            ("--folds", "1", "fold_count must be an integer >= 2, got 1"),
+            ("--seed", "-1", "seed must be an integer >= 0, got -1"),
         ],
     )
     def test_out_of_range_counts_fail_before_any_fold(
@@ -241,7 +243,7 @@ class TestRunConfig:
         base = parser.parse_args(["baseline", *common, "--method", "relieff", "--k", "2"])
         assert base.relieff_neighbors == relieff
         evaluate_args = parser.parse_args(["evaluate", *common, "--features", "all"])
-        assert evaluate_args.train_fraction == SplitSpec().train_fraction
+        assert evaluate_args.train_fraction == default(split_train_test, "train_fraction")
 
     def test_threads_flag_is_gone(self, csv_path):
         assert main(["select", "--input", csv_path, "--label", "label", "--seed", "1",

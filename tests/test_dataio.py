@@ -3,7 +3,6 @@ import pytest
 
 from sepselect.dataio import (
     Dataset,
-    SplitSpec,
     check_fold_classes,
     load_csv,
     make_folds,
@@ -113,35 +112,35 @@ def _big(n=100, seed=0):
 
 class TestSplit:
     def test_75_25(self):
-        train, test = split_train_test(_big(100), SplitSpec(seed=1))
+        train, test = split_train_test(_big(100), 1)
         assert train.n_instances == 75
         assert test.n_instances == 25
 
     def test_deterministic(self):
         d = _big(40)
-        t1, v1 = split_train_test(d, SplitSpec(seed=9))
-        t2, v2 = split_train_test(d, SplitSpec(seed=9))
+        t1, v1 = split_train_test(d, 9)
+        t2, v2 = split_train_test(d, 9)
         assert np.array_equal(t1.instances, t2.instances)
         assert np.array_equal(v1.instances, v2.instances)
 
     def test_disjoint_partition(self):
         d = _big(30)
         d.instances[:, 0] = np.arange(30)  # row fingerprints
-        train, test = split_train_test(d, SplitSpec(seed=4))
+        train, test = split_train_test(d, 4)
         ids = np.concatenate([train.instances[:, 0], test.instances[:, 0]])
         assert sorted(ids.tolist()) == list(range(30))
 
     def test_empty_side_rejected(self):
         d = _big(4)
         with pytest.raises(DataError, match="empty side"):
-            split_train_test(d, SplitSpec(train_fraction=0.99, seed=0))
+            split_train_test(d, 0, train_fraction=0.99)
 
 
 class TestFolds:
     def test_sizes_and_coverage(self):
         d = _big(10)
         d.instances[:, 0] = np.arange(10)
-        folds = make_folds(d, SplitSpec(seed=2))
+        folds = make_folds(d, 5, 2)
         assert len(folds) == 5
         val_ids = []
         for train, val in folds:
@@ -152,12 +151,12 @@ class TestFolds:
 
     def test_too_many_folds(self):
         with pytest.raises(DataError, match="exceeds instance count"):
-            make_folds(_big(10), SplitSpec(fold_count=11, seed=0))
+            make_folds(_big(10), 11, 0)
 
     def test_deterministic(self):
         d = _big(20)
-        f1 = make_folds(d, SplitSpec(seed=5))
-        f2 = make_folds(d, SplitSpec(seed=5))
+        f1 = make_folds(d, 5, 5)
+        f2 = make_folds(d, 5, 5)
         for (a, b), (c, e) in zip(f1, f2):
             assert np.array_equal(a.instances, c.instances)
             assert np.array_equal(b.instances, e.instances)
@@ -173,7 +172,7 @@ def _rare_class(n=60, rare=3, seed=0):
 class TestFoldClasses:
     def test_balanced_folds_pass(self):
         d = _big(100)
-        check_fold_classes(d, make_folds(d, SplitSpec(seed=3)))
+        check_fold_classes(d, make_folds(d, 5, 3))
 
     def test_class_missing_from_a_validation_part_is_named(self):
         # 3 samples of r cannot reach all 5 validation parts
@@ -183,13 +182,13 @@ class TestFoldClasses:
             match=r"class 'r' has 3 samples, none of them in the validation part "
             r"of fold \d \(fold_count=5\)",
         ):
-            check_fold_classes(d, make_folds(d, SplitSpec(seed=0)))
+            check_fold_classes(d, make_folds(d, 5, 0))
 
     def test_class_missing_from_a_train_part_is_named(self):
         # the single sample of r lies in fold 0's validation part, so fold
         # 0's train part has none
         d = _rare_class(rare=1)
-        folds = make_folds(d, SplitSpec(fold_count=2, seed=3))
+        folds = make_folds(d, 2, 3)
         assert "r" in folds[0][1].labels.tolist()
         with pytest.raises(
             DataError,
@@ -204,11 +203,16 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="not in class_ids"):
             Dataset(np.zeros((2, 2)), np.array(["a", "z"], dtype=object), ["f0", "f1"], ["a", "b"])
 
-    def test_spec_ranges(self):
-        with pytest.raises(DataError):
-            SplitSpec(train_fraction=1.5)
-        with pytest.raises(DataError):
-            SplitSpec(fold_count=1)
+    def test_split_option_ranges(self):
+        d = _big(10)
+        with pytest.raises(DataError, match="train_fraction"):
+            split_train_test(d, 0, train_fraction=1.5)
+        with pytest.raises(DataError, match="fold_count"):
+            make_folds(d, 1, 0)
+        with pytest.raises(DataError, match="seed"):
+            split_train_test(d, -1)
+        with pytest.raises(DataError, match="seed"):
+            make_folds(d, 2, 1.5)
 
     def test_label_codes_follow_first_appearance(self):
         d = _dataset([[1, 2, 3], [4, 5, 6]], ["b", "a", "b"])

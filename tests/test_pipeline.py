@@ -230,10 +230,16 @@ class TestSelectFeatures:
             ("tsne_iterations", "100"),
             ("smoothing_window", -1),
             ("smoothing_window", 1.0),
+            ("fold_count", 1),
+            ("fold_count", 2.5),
+            ("k_max", 3),
+            ("k_max", 5.5),
+            ("seed", -1),
+            ("seed", 1.5),
         ],
     )
     def test_config_rejects_counts_that_are_not_integers_in_range(self, field, value):
-        # tsne_iterations=2.5 was once a TypeError from inside fold 0
+        # tsne_iterations=2.5 and k_max=5.5 were once TypeErrors from inside fold 0
         with pytest.raises(DataError, match=f"{field} must be an integer >= "):
             SelectionConfig(**{field: value})
 
@@ -252,8 +258,8 @@ def pin_workers(monkeypatch, workers):
     monkeypatch.setattr(pipeline, "_worker_count", lambda fold_count: workers)
 
 
-def fold_of(tsne_cfg, cfg):
-    return tsne_cfg.seed - cfg.seed - 1  # fold f embeds with seed base + 1 + f
+def fold_of(seed, cfg):
+    return seed - cfg.seed - 1  # fold f embeds with seed base + 1 + f
 
 
 def recorded_selection(data, cfg):
@@ -319,12 +325,12 @@ class TestFoldWorkers:
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         real = pipeline.embed
 
-        def failing_embed(z, tsne_cfg):
-            f = fold_of(tsne_cfg, cfg)
+        def failing_embed(z, perplexity, iterations, seed):
+            f = fold_of(seed, cfg)
             warnings.warn(f"fold {f} embedding")
             if f in (2, 4):
                 raise DataError(f"fold {f} failed")
-            return real(z, tsne_cfg)
+            return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", failing_embed)
         pin_workers(monkeypatch, workers)
@@ -342,10 +348,10 @@ class TestFoldWorkers:
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
-        def asserting_embed(z, tsne_cfg):
+        def asserting_embed(z, perplexity, iterations, seed):
             if os.getpid() != parent:
-                raise AssertionError(f"fold {fold_of(tsne_cfg, cfg)} ran in a child")
-            return real(z, tsne_cfg)
+                raise AssertionError(f"fold {fold_of(seed, cfg)} ran in a child")
+            return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", asserting_embed)
         pin_workers(monkeypatch, workers)
@@ -357,10 +363,10 @@ class TestFoldWorkers:
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
-        def dying_embed(z, tsne_cfg):
-            if os.getpid() != parent and fold_of(tsne_cfg, cfg) == 1:
+        def dying_embed(z, perplexity, iterations, seed):
+            if os.getpid() != parent and fold_of(seed, cfg) == 1:
                 os._exit(1)
-            return real(z, tsne_cfg)
+            return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", dying_embed)
         pin_workers(monkeypatch, workers)
@@ -375,10 +381,10 @@ class TestFoldWorkers:
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
-        def interrupted_embed(z, tsne_cfg):
+        def interrupted_embed(z, perplexity, iterations, seed):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return real(z, tsne_cfg)
+            return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", interrupted_embed)
         pin_workers(monkeypatch, 3)

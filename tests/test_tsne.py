@@ -7,7 +7,6 @@ from sepselect.errors import DataError, NumericalError
 from sepselect.tsne import (
     P_FLOOR,
     Q_FLOOR,
-    TsneConfig,
     _bandwidths,
     conditional_affinities,
     embed,
@@ -74,7 +73,7 @@ class TestConditionalAffinities:
         shifted = np.vstack([np.tile([0.0, 1.0, 2.0, 3.0, 4.0], (7, 1)), row])
         ties = np.count_nonzero(shifted == 0.0, axis=1)
         with pytest.raises(NumericalError, match="failed to bracket perplexity 3.0 at row 7"):
-            _bandwidths(shifted, ties, 3.0, 1e-7)
+            _bandwidths(shifted, ties, 3.0)
 
     def test_perplexity_out_of_range(self):
         with pytest.raises(DataError, match="perplexity"):
@@ -185,27 +184,24 @@ class TestEmbed:
     def test_output_shape(self):
         rng = np.random.default_rng(0)
         z = rng.uniform(size=(50, 25))  # M=50 points, C=5 pair space
-        cfg = TsneConfig(perplexity=10.0, iterations=50, seed=3)
-        emb = embed(z, cfg)
+        emb = embed(z, 10.0, 50, 3)
         assert emb.coords.shape == (50, 2)
         assert np.all(np.isfinite(emb.coords))
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(1)
         z = rng.uniform(size=(20, 9))
-        cfg = TsneConfig(perplexity=6.0, iterations=80, seed=11)
-        a = embed(z, cfg).coords
-        b = embed(z, cfg).coords
+        a = embed(z, 6.0, 80, 11).coords
+        b = embed(z, 6.0, 80, 11).coords
         assert np.array_equal(a, b)
 
     def test_kl_decreases_on_clustered_input(self):
         z = three_cluster_points(seed=5)
-        cfg = TsneConfig(perplexity=8.0, iterations=300, seed=2)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(2)
         init = rng.normal(0.0, 1e-4, size=(z.shape[0], 2))
-        p = symmetrize_affinities(conditional_affinities(z, cfg.perplexity))
+        p = symmetrize_affinities(conditional_affinities(z, 8.0))
         kl_initial = kl_divergence(p, low_dim_affinities(init))
-        emb = embed(z, cfg, initial_coords=init)
+        emb = embed(z, 8.0, 300, 2, initial_coords=init)
         kl_final = kl_divergence(p, low_dim_affinities(emb.coords))
         assert kl_final < kl_initial
 
@@ -213,10 +209,9 @@ class TestEmbed:
         rng = np.random.default_rng(31)
         z = rng.normal(size=(12, 5))
         init = rng.normal(0.0, 1e-4, size=(12, 2))
-        cfg = TsneConfig(perplexity=5.0, iterations=25, seed=0)
-        base = embed(z, cfg, initial_coords=init).coords
+        base = embed(z, 5.0, 25, 0, initial_coords=init).coords
         perm = rng.permutation(12)
-        permuted = embed(z[perm], cfg, initial_coords=init[perm]).coords
+        permuted = embed(z[perm], 5.0, 25, 0, initial_coords=init[perm]).coords
 
         def dists(c):
             return np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
@@ -225,19 +220,17 @@ class TestEmbed:
 
     def test_rejects_tiny_inputs(self):
         with pytest.raises(DataError):
-            embed(np.zeros((2, 3)), TsneConfig(perplexity=1.0, iterations=5))
+            embed(np.zeros((2, 3)), 1.0, 5, 0)
 
-    def test_config_validation(self):
-        with pytest.raises(DataError):
-            TsneConfig(perplexity=-1.0)
-        with pytest.raises(DataError):
-            TsneConfig(momentum_initial=1.5)
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_perplexity(self, value):
+        with pytest.raises(DataError, match="perplexity"):
+            embed(np.eye(6), value, 5, 0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "field",
-        ["perplexity", "learning_rate", "early_exaggeration", "momentum_initial", "momentum_final"],
+        "iterations, seed",
+        [(0, 0), (2.5, 0), (True, 0), (5, -1), (5, 1.5), (5, None)],
     )
-    def test_config_rejects_non_finite_values(self, field, value):
-        with pytest.raises(DataError, match=field.split("_")[0]):
-            TsneConfig(**{field: value})
+    def test_rejects_counts_that_are_not_integers_in_range(self, iterations, seed):
+        with pytest.raises(DataError, match="iterations" if seed == 0 else "seed"):
+            embed(np.eye(6), 3.0, iterations, seed)

@@ -13,12 +13,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepselect import tsne
 from sepselect.errors import DataError, NumericalError
-from sepselect.tsne import P_FLOOR, Q_FLOOR, TsneConfig, symmetrize_affinities
+from sepselect.tsne import P_FLOOR, Q_FLOOR, symmetrize_affinities
 
 _BISECT_MAX_ITER = 50
 _PERPLEXITY_TOL = 1e-7
@@ -125,33 +125,32 @@ def kl_gradient(p, coords):
     return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ coords)
 
 
-def embed(z, cfg, initial_coords=None):
+def embed(z, perplexity, iterations, seed, initial_coords=None):
+    # the schedule is spelled out here, not imported: output dimension 2,
+    # learning rate 200, exaggeration 4 for 100 iterations, momentum 0.5
+    # switching to 0.8 at iteration 250
     points = np.asarray(z, dtype=float)
     m = points.shape[0]
     if m < 3:
         raise DataError(f"need at least 3 points to embed, got {m}")
 
-    p = symmetrize_affinities(conditional_affinities(points, cfg.perplexity))
-    rng = np.random.default_rng(cfg.seed)
+    p = symmetrize_affinities(conditional_affinities(points, perplexity))
+    rng = np.random.default_rng(seed)
     if initial_coords is None:
-        coords = rng.normal(0.0, 1e-4, size=(m, cfg.output_dim))
+        coords = rng.normal(0.0, 1e-4, size=(m, 2))
     else:
         coords = np.array(initial_coords, dtype=float)
-        if coords.shape != (m, cfg.output_dim):
+        if coords.shape != (m, 2):
             raise DataError("initial_coords shape mismatch")
     velocity = np.zeros_like(coords)
 
-    for it in range(cfg.iterations):
-        p_eff = p * cfg.early_exaggeration if it < cfg.exaggeration_iters else p
+    for it in range(iterations):
+        p_eff = p * 4.0 if it < 100 else p
         grad = kl_gradient(p_eff, coords)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
-        momentum = (
-            cfg.momentum_initial
-            if it < cfg.momentum_switch_iter
-            else cfg.momentum_final
-        )
-        velocity = momentum * velocity - cfg.learning_rate * grad
+        momentum = 0.5 if it < 250 else 0.8
+        velocity = momentum * velocity - 200.0 * grad
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
     return coords
@@ -282,29 +281,21 @@ def embed_problems(draw):
     points = rng.uniform(size=(m, draw(st.integers(1, 6))))
     if draw(st.booleans()):
         points[1] = points[0]  # a coincident pair
-    cfg = TsneConfig(
-        perplexity=draw(st.floats(1.0, m - 1.0)),
-        iterations=draw(st.integers(1, 40)),
-        output_dim=draw(st.integers(1, 3)),
-        learning_rate=draw(st.sampled_from([10.0, 200.0])),
-        early_exaggeration=draw(st.sampled_from([1.0, 4.0, 12.0])),
-        exaggeration_iters=draw(st.integers(0, 20)),
-        momentum_switch_iter=draw(st.integers(0, 30)),
-        seed=draw(st.integers(0, 1000)),
-    )
-    return points, cfg
+    perplexity = draw(st.floats(1.0, m - 1.0))
+    # short runs, and runs past both the exaggeration and the momentum switch
+    iterations = draw(st.one_of(st.integers(1, 120), st.integers(251, 270)))
+    return points, perplexity, iterations, draw(st.integers(0, 1000))
 
 
 class TestDescentMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(problem=embed_problems())
+    @example(problem=(np.random.default_rng(7).uniform(size=(12, 4)), 4.0, 260, 3))
     def test_coordinates(self, problem):
-        points, cfg = problem
+        def new_coords(*args):
+            return tsne.embed(*args).coords
 
-        def new_coords(z, c):
-            return tsne.embed(z, c).coords
-
-        _assert_same_outcome(_outcome(embed, points, cfg), _outcome(new_coords, points, cfg))
+        _assert_same_outcome(_outcome(embed, *problem), _outcome(new_coords, *problem))
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(2, 30), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -324,7 +315,7 @@ class TestMemoryAndTraceContract:
     @pytest.fixture()
     def points(self):
         # warm up first: lazily imported numpy helpers would count as peak
-        tsne.embed(np.random.default_rng(1).uniform(size=(12, 4)), TsneConfig(perplexity=3.0, iterations=2))
+        tsne.embed(np.random.default_rng(1).uniform(size=(12, 4)), 3.0, 2, 0)
         return np.random.default_rng(0).uniform(size=(self.M, 50))
 
     def _peak(self, fn):
@@ -340,8 +331,7 @@ class TestMemoryAndTraceContract:
         assert peak <= 3 * self.M * self.M * 8
 
     def test_embed_peak_within_six_matrices(self, points):
-        cfg = TsneConfig(perplexity=30.0, iterations=5)
-        peak = self._peak(lambda: tsne.embed(points, cfg))
+        peak = self._peak(lambda: tsne.embed(points, 30.0, 5, 0))
         assert peak <= 6 * self.M * self.M * 8
 
     def test_embed_calls_the_module_affinities_once(self, points, monkeypatch):
@@ -354,5 +344,5 @@ class TestMemoryAndTraceContract:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tsne, "conditional_affinities", counting)
-        tsne.embed(points[:30], TsneConfig(perplexity=5.0, iterations=3))
+        tsne.embed(points[:30], 5.0, 3, 0)
         assert len(calls) == 1
