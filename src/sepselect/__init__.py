@@ -23,15 +23,8 @@ from .pipeline import (
     select_at_k,
     select_features,
 )
-from .separability import (
-    ClassStats,
-    SeparabilityMatrix,
-    build_feature_space,
-    class_stats,
-    jm_matrix,
-)
+from .separability import ClassStats, build_feature_space, class_stats, jm_matrix
 from .tsne import (
-    Embedding,
     conditional_affinities,
     embed,
     kl_divergence,
@@ -49,7 +42,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "DistanceCounter",
-    "Embedding",
     "EvalReport",
     "IndexCurves",
     "IndexReport",
@@ -58,7 +50,6 @@ __all__ = [
     "RankedFeatures",
     "SelectionConfig",
     "SelectionResult",
-    "SeparabilityMatrix",
     "accuracy",
     "balanced_f",
     "build_feature_space",

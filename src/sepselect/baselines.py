@@ -51,15 +51,27 @@ def fisher_scores(d):
     return _ranked(numer / denom)
 
 
-def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, seed=0):
+def check_relieff_neighbors(d, neighbors):
+    """DataError unless neighbors >= 1 and every class of d has more than
+    neighbors rows, so each pick has that many hits."""
+    if neighbors < 1:
+        raise DataError("neighbors must be >= 1")
+    counts = np.bincount(d.label_codes(), minlength=d.n_classes)
+    small = [d.class_ids[c] for c in range(d.n_classes) if counts[c] <= neighbors]
+    if small:
+        raise DataError(
+            f"every class needs more than {neighbors} samples; too small: {small}"
+        )
+
+
+def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     """ReliefF weights: reward features that differ on nearest other-class
     instances (misses, prior-weighted per class) and penalize differences
     on nearest same-class instances (hits).
 
     Feature differences are normalized by the feature's range, so weights
-    are scale-invariant. sample_count defaults to a full pass over the
-    data; sampling and neighbor ordering are seeded and deterministic.
-    Distance ties go to the lower row index.
+    are scale-invariant. Every row is picked once, in a seeded order, so
+    the weights are deterministic. Distance ties go to the lower row index.
 
     Each pick sums its (rows, features) differences row by row into
     distances: that reduction fixes the bits of the distances, and summing
@@ -71,21 +83,11 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, s
     update "weights -= hit term, then += each miss term by ascending
     class".
     """
-    if neighbors < 1:
-        raise DataError("neighbors must be >= 1")
+    check_relieff_neighbors(d, neighbors)
     codes = d.label_codes()
     x = d.instances
     n, m = x.shape
     counts = np.bincount(codes, minlength=d.n_classes)
-    small = [d.class_ids[c] for c in range(d.n_classes) if counts[c] <= neighbors]
-    if small:
-        raise DataError(
-            f"every class needs more than {neighbors} samples; too small: {small}"
-        )
-    if sample_count is None:
-        sample_count = n
-    if not 1 <= sample_count <= n:
-        raise DataError(f"sample_count must be in [1, {n}], got {sample_count}")
 
     ranges = x.max(axis=0) - x.min(axis=0)
     xn = x / np.where(ranges > 0.0, ranges, 1.0)
@@ -93,7 +95,7 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, s
 
     priors = counts / n
     rng = np.random.default_rng(seed)
-    picks = rng.choice(n, size=sample_count, replace=False)
+    picks = rng.choice(n, size=n, replace=False)
 
     # (classes, largest class) member rows in ascending order, padded with
     # the sentinel row n, whose distance is +inf
@@ -111,7 +113,7 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, sample_count=None, s
     coefs[:, 0] = -1.0
 
     weights = np.zeros(m)
-    scale = 1.0 / (sample_count * neighbors)
+    scale = 1.0 / (n * neighbors)
     for a in picks:
         diffs = np.abs(xn - xn[a])
         dist[:n] = diffs.sum(axis=1)

@@ -6,14 +6,11 @@ class present in the truth or the predictions contributes equally,
 regardless of support. Method comparisons depend on this reading, so it
 is fixed here rather than configurable.
 
-KNN computes the distances of a block of test rows at once. A block's
-(rows, train rows, subset) temporary holds at most max(one test row's
-(train rows, subset) array, _BLOCK_BYTES): larger blocks fall out of cache
-and measured slower. The temporary takes the memory layout of the
-column-subset arrays, as the per-row difference a - row does, so each
-distance sums its squared differences over the subset in the same order and
-is bitwise the per-row np.sum((a - row) ** 2, axis=1). Distance ties go to
-the lower train index.
+KNN takes the squared distances of a block of test rows at once from
+distances.squared_blocks, on the column-subset arrays as they come from
+the subset indexing, so each distance is bitwise the per-row
+np.sum((train - row) ** 2, axis=1) (see the distances module). Distance
+ties go to the lower train index.
 """
 
 import time
@@ -21,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import nearest
+from .distances import nearest, squared_blocks
 from .errors import DataError
 
 DEFAULT_NEIGHBORS = 5
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -53,29 +49,22 @@ def knn_predict(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
     for j in subset:
         if not 0 <= j < train.n_features:
             raise DataError(f"subset index {j} out of range")
-    if n_neighbors < 1 or n_neighbors > train.n_instances:
-        raise DataError(
-            f"n_neighbors must be in [1, {train.n_instances}], got {n_neighbors}"
-        )
+    check_neighbors(n_neighbors, train.n_instances)
 
     a = train.instances[:, subset]
     b = test.instances[:, subset]
     labels = train.labels
     preds = []
-    for d2 in _squared_distance_blocks(a, b):
+    for d2 in squared_blocks(b, a):
         for order in nearest(d2, n_neighbors):
             preds.append(_majority(labels[order]))
     return np.array(preds, dtype=object)
 
 
-def _squared_distance_blocks(a, b):
-    """Squared distances from consecutive blocks of the rows of b to every
-    row of a, one (block rows, len(a)) array at a time."""
-    step = max(1, _BLOCK_BYTES // a.nbytes)
-    for start in range(0, len(b), step):
-        t = a[None] - b[start : start + step, None]
-        np.square(t, out=t)
-        yield t.sum(axis=2)
+def check_neighbors(n_neighbors, n_train):
+    """DataError unless 1 <= n_neighbors <= n_train, the train rows to vote."""
+    if n_neighbors < 1 or n_neighbors > n_train:
+        raise DataError(f"n_neighbors must be in [1, {n_train}], got {n_neighbors}")
 
 
 def _majority(neighbor_labels):

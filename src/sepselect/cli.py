@@ -18,11 +18,12 @@ import numpy as np
 from .baselines import (
     DEFAULT_RELIEFF_NEIGHBORS,
     cfs_select,
+    check_relieff_neighbors,
     fisher_scores,
     random_select,
     relieff_weights,
 )
-from .classify import DEFAULT_NEIGHBORS, evaluate
+from .classify import DEFAULT_NEIGHBORS, check_neighbors, evaluate
 from .dataio import TRAIN_FRACTION, load_csv, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
@@ -233,7 +234,7 @@ def cmd_select(args):
     values = np.column_stack([curve.averaged, curve.fold_values.T])
     _write_table(os.path.join(outdir, "curve.csv"), header, _float_rows(curve.ks, values))
     _write_embedding_csv(
-        os.path.join(outdir, "embedding.csv"), data.feature_names, result.embedding.coords
+        os.path.join(outdir, "embedding.csv"), data.feature_names, result.embedding
     )
     _write(
         os.path.join(outdir, "timings.txt"),
@@ -242,7 +243,7 @@ def cmd_select(args):
 
     if args.index_curves:
         ks = result.curve.ks
-        curves = index_curves(result.embedding.coords, ks)
+        curves = index_curves(result.embedding, ks)
         values = np.column_stack([curves.silhouette, curves.simplified, curves.mean_simplified])
         _write_table(
             os.path.join(outdir, "indices.csv"),
@@ -263,7 +264,7 @@ def cmd_select(args):
         chart.add_vline(result.k_min, label=f"k={result.k_min}")
         chart.save(os.path.join(outdir, "curve.svg"))
 
-        coords = result.embedding.coords
+        coords = result.embedding
         scatter = ScatterChart(title="feature embedding")
         mask = np.zeros(len(coords), dtype=bool)
         mask[result.selected_features] = True
@@ -361,13 +362,11 @@ def cmd_embed_only(args):
     outdir = _outdir(cfg)
     z = build_feature_space(data)
     sel = cfg.selection
-    embedding = embed(z, sel.perplexity, sel.tsne_iterations, sel.seed)
-    _write_embedding_csv(
-        os.path.join(outdir, "embedding.csv"), data.feature_names, embedding.coords
-    )
+    coords = embed(z, sel.perplexity, sel.tsne_iterations, sel.seed)
+    _write_embedding_csv(os.path.join(outdir, "embedding.csv"), data.feature_names, coords)
     if args.export_z:
         header = ["feature"] + pair_column_names(data.class_ids)
-        _write_table(os.path.join(outdir, "z.csv"), header, _float_rows(data.feature_names, z.z))
+        _write_table(os.path.join(outdir, "z.csv"), header, _float_rows(data.feature_names, z))
     print(
         f"# input={cfg.input_path} seed={sel.seed} perplexity={sel.perplexity} "
         f"tsne_iterations={sel.tsne_iterations}"
@@ -379,14 +378,17 @@ def cmd_embed_only(args):
 def cmd_compare(args):
     cfg = _run_config(args)
     data = _load_normalized(cfg)
-    outdir = _outdir(cfg)
     reps = args.repetitions
     if reps < 1:
         raise DataError("repetitions must be >= 1")
-
-    # k_min from a full CV selection on the first repetition's training split
     sel_cfg = cfg.selection
     train0, test0 = split_train_test(data, sel_cfg.seed)
+    # bad neighbor counts fail here, not after the selection's folds
+    check_neighbors(cfg.n_neighbors, train0.n_instances)
+    check_relieff_neighbors(train0, args.relieff_neighbors)
+    outdir = _outdir(cfg)
+
+    # k_min from a full CV selection on the first repetition's training split
     result = select_features(train0, sel_cfg)
     k_min = result.k_min
 

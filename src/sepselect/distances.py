@@ -1,9 +1,23 @@
 """Pairwise Euclidean distance matrices between point rows, and the
-nearest-first selection of row entries that neighbour searches share."""
+nearest-first selection of row entries that neighbour searches share.
+
+Two forms. The Gram expansion (squared_pairwise) is fast. Explicit
+differences (squared_blocks, cross) give exact 0 for coincident rows;
+squared_blocks is the one implementation of that form. It takes a block of
+rows of a against every row of b at a time, whose (block rows, len(b), d)
+temporary holds at most max(one row's (len(b), d) array, _BLOCK_BYTES):
+larger blocks fall out of cache and measured slower.
+
+Layout rule: the temporary takes the memory order of the inputs, as the
+per-row difference b - row does, and that order fixes the bits of the sums
+over the d columns. Each distance is bitwise the per-row
+np.sum((b - row) ** 2, axis=1) for inputs of any order, and, for C-ordered
+inputs, the one-shot np.sum((a[:, None] - b[None]) ** 2, axis=2).
+"""
 
 import numpy as np
 
-# Two forms: the Gram expansion is fast; explicit differences give exact 0 for coincident rows.
+_BLOCK_BYTES = 256 * 1024
 
 
 def squared_pairwise(x, out=None, scratch=None):
@@ -28,11 +42,22 @@ def squared_pairwise(x, out=None, scratch=None):
     return d2
 
 
+def squared_blocks(a, b):
+    """Squared distances from consecutive blocks of the rows of a to every
+    row of b by explicit differences, one (block rows, len(b)) array at a
+    time."""
+    step = max(1, _BLOCK_BYTES // b.nbytes)
+    for start in range(0, len(a), step):
+        t = b[None] - a[start : start + step, None]
+        np.square(t, out=t)
+        yield t.sum(axis=2)
+
+
 def cross(a, b):
     """(len(a), len(b)) distances between the rows of a and the rows of b
-    by explicit differences; exact 0 for coincident rows."""
-    diffs = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diffs ** 2, axis=2))
+    by explicit differences (squared_blocks); exact 0 for coincident rows."""
+    d = np.vstack(list(squared_blocks(a, b)))
+    return np.sqrt(d, out=d)
 
 
 def nearest(d, count):

@@ -1,16 +1,20 @@
 """End-to-end feature selection: separability matrix -> embedding ->
 per-k clustering -> cross-validated validity curve -> knee -> subset.
 
-Fold loop: each fold builds its own separability matrix and embedding on
+Stages pass plain arrays: build_feature_space gives the (M, C^2)
+separability array, embed its (M, 2) coordinates, and the clustering and
+validity stages take those coordinates.
+
+Fold loop: each fold builds its own separability array and embedding on
 the train part, clusters it for every k, and scores the chosen medoid
 features against the validation part. Out-of-sample projection of a
 fold's embedding is ill-defined, so validation scoring happens in the
-raw separability space of the validation part: its matrix is rebuilt
-and its feature-to-feature distances computed once per fold, then for
-every k each feature is assigned to the nearest medoid feature there and
-the validity index is evaluated on that geometry. The strategy is
-isolated in validation_mss() so an alternative reading is a one-function
-change.
+raw separability space of the validation part: its array is rebuilt
+and its feature-to-feature distances computed once per fold (one
+distances.cross, in row blocks), then for every k each feature is
+assigned to the nearest medoid feature there and the validity index is
+evaluated on that geometry. The strategy is isolated in validation_mss()
+so an alternative reading is a one-function change.
 
 Workers: the folds are independent, so they run on one process per
 usable CPU (os.sched_getaffinity), at most one per fold. Fold f runs in
@@ -51,7 +55,7 @@ from .errors import DataError, require_integer, require_positive
 from .kmedoids import _assign, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
-from .tsne import Embedding, check_perplexity, embed
+from .tsne import check_perplexity, embed
 from .validity import mss, mss_from_distances, silhouette, simplified_silhouette
 
 
@@ -104,7 +108,7 @@ class SelectionResult:
     k_min: int
     selected_features: list
     selected_names: list
-    embedding: Embedding
+    embedding: np.ndarray  # (M, 2) coordinates of the final embedding
     curve: MSSCurve
     config: SelectionConfig
     knee_source: str = "kneedle"
@@ -115,23 +119,11 @@ def _derived_seed(base, k):
     return int(np.random.SeedSequence([int(base), 0, int(k)]).generate_state(1)[0])
 
 
-def validation_distances(z_val):
-    """(M, M) raw-space distances among the features of a validation part,
-    built one column at a time: column j is cross(z, z[j:j+1]), bitwise
-    equal to the matching column of any cross(z, z[medoids]), without the
-    (M, M, pair-count) temporary of a single cross(z, z)."""
-    z = z_val.z
-    d_val = np.empty((z.shape[0], z.shape[0]))
-    for j in range(z.shape[0]):
-        d_val[:, j] = cross(z, z[j : j + 1])[:, 0]
-    return d_val
-
-
 def validation_mss(d_val, medoid_features):
     """Validity of train-fold medoid features against a validation fold:
     every feature goes to its nearest medoid feature (ties: lowest medoid
-    index) in the validation part's raw separability space, whose distances
-    d_val come from validation_distances()."""
+    index) in the validation part's raw separability space, whose (M, M)
+    distances d_val are cross(z_val, z_val)."""
     medoids = np.sort(np.asarray(medoid_features, dtype=int))
     cols = d_val[:, medoids]
     assignment, _ = _assign(cols)
@@ -170,9 +162,10 @@ def _fold_values(tr_part, val_part, cfg, f, k_hi):
     (seed base + 1 + f) clustered by one pam_sweep, each k's medoid
     features scored on the validation part."""
     z_tr = build_feature_space(tr_part)
-    d_val = validation_distances(build_feature_space(val_part))
-    emb = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
-    return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(emb.coords, k_hi)])
+    z_val = build_feature_space(val_part)
+    d_val = cross(z_val, z_val)
+    coords = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
+    return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(coords, k_hi)])
 
 
 def _worker_count(fold_count):
@@ -325,12 +318,11 @@ def select_features(train, cfg):
 
 def select_at_k(train, k, cfg):
     """One-shot subset of a known size: embed the full training set and
-    cluster at k. Returns (embedding, clustering); the medoids are the
-    selected feature indices."""
+    cluster at k. Returns (coords, clustering): the (M, 2) embedding and
+    its clustering, whose medoids are the selected feature indices."""
     z = build_feature_space(train)
-    embedding = embed(z, cfg.perplexity, cfg.tsne_iterations, cfg.seed)
-    clustering = pam_cluster(embedding.coords, k, _derived_seed(cfg.seed, k))
-    return embedding, clustering
+    coords = embed(z, cfg.perplexity, cfg.tsne_iterations, cfg.seed)
+    return coords, pam_cluster(coords, k, _derived_seed(cfg.seed, k))
 
 
 @dataclass

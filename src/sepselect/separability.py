@@ -34,17 +34,6 @@ class ClassStats:
     variance: np.ndarray  # (M, C), every entry >= VAR_FLOOR
 
 
-@dataclass
-class SeparabilityMatrix:
-    """M x C^2 matrix; row i is feature i's JM matrix reshaped row-major."""
-
-    z: np.ndarray
-
-    @property
-    def n_features(self):
-        return self.z.shape[0]
-
-
 def class_stats(d):
     """Class-conditional mean and clamped biased variance for every feature."""
     codes = d.label_codes()
@@ -86,11 +75,12 @@ def jm_matrix(stats, feature):
 
 
 def build_feature_space(d):
-    """Stack every feature's reshaped JM matrix into an M x C^2 matrix."""
+    """The (M, C^2) feature-space array: row i is feature i's JM matrix
+    reshaped row-major."""
     stats = class_stats(d)
     jm = _jm_from_stats(stats.mean, stats.variance)  # (M, C, C)
     m, c = d.n_features, d.n_classes
-    return SeparabilityMatrix(z=jm.reshape(m, c * c))
+    return jm.reshape(m, c * c)
 
 
 def pair_column_names(class_ids):

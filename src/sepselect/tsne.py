@@ -11,11 +11,13 @@ effective neighbor count matches the requested perplexity) -> symmetrized
 affinities P -> gradient descent with momentum and early exaggeration on
 low-dimensional Student-t affinities Q, minimizing KL(P || Q).
 
-Options. embed takes the perplexity, the iteration count and the seed,
-whose defaults live in pipeline.SelectionConfig. The rest is fixed, not
-an option: output dimension 2, learning rate 200, early exaggeration 4
-for the first 100 iterations, momentum 0.5 switching to 0.8 at iteration
-250, and a bisection tolerance of 1e-7 in perplexity units.
+Options. embed takes the (M, d) point rows (the separability array), the
+perplexity, the iteration count and the seed, whose defaults live in
+pipeline.SelectionConfig, and returns the (M, 2) coordinates as a plain
+array. The rest is fixed, not an option: output dimension 2, learning
+rate 200, early exaggeration 4 for the first 100 iterations, momentum 0.5
+switching to 0.8 at iteration 250, and a bisection tolerance of 1e-7 in
+perplexity units.
 
 Cost and memory, for M points. The bandwidth search bisects all rows in
 lockstep: one step is a few numpy passes over the rows still open, in
@@ -43,7 +45,6 @@ reference), warnings and errors included:
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,18 +66,6 @@ _EXAGGERATION_ITERS = 100
 _MOMENTUM_INITIAL = 0.5
 _MOMENTUM_FINAL = 0.8
 _MOMENTUM_SWITCH_ITER = 250
-
-
-@dataclass
-class Embedding:
-    """Low-dimensional coordinates, one row per input point."""
-
-    coords: np.ndarray  # (M, 2)
-
-
-def _as_points(z):
-    pts = getattr(z, "z", z)
-    return np.asarray(pts, dtype=float)
 
 
 def check_perplexity(perplexity, m):
@@ -103,7 +92,7 @@ def conditional_affinities(z, perplexity):
     the row. Warnings come in row order; an error names the first failing
     row and follows the warnings of the rows before it only.
     """
-    points = _as_points(z)
+    points = np.asarray(z, dtype=float)
     m = points.shape[0]
     check_perplexity(perplexity, m)
 
@@ -318,15 +307,16 @@ def _gradient_step(p, coords, w, q):
 
 
 def embed(z, perplexity, iterations, seed, initial_coords=None):
-    """Gradient-descent t-SNE embedding into 2-D on the fixed schedule (see
-    the module docstring); deterministic for a fixed seed.
+    """(M, 2) coordinates of the rows of z, one row per point, by
+    gradient-descent t-SNE on the fixed schedule (see the module
+    docstring); deterministic for a fixed seed.
 
     initial_coords overrides the seeded 1e-4-sigma Gaussian initialization
     (used by equivariance tests); it must be (M, 2).
     """
     require_integer("iterations", iterations, 1)
     require_integer("seed", seed, 0)
-    points = _as_points(z)
+    points = np.asarray(z, dtype=float)
     m = points.shape[0]
     if m < 3:
         raise DataError(f"need at least 3 points to embed, got {m}")
@@ -352,4 +342,4 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
         velocity = momentum * velocity - _LEARNING_RATE * grad
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
-    return Embedding(coords=coords)
+    return coords

@@ -161,11 +161,11 @@ def test_criterion_3_tsne_numerical_checks():
 
     d3, _ = redundant_groups(90, 3, [10, 10, 10], strengths=[2.0, 2.0, 2.0], noise=0.3, seed=33)
     z = build_feature_space(minmax_normalize(d3))
-    init = np.random.default_rng(4).normal(0.0, 1e-4, size=(z.n_features, 2))
-    p = symmetrize_affinities(conditional_affinities(z.z, 8.0))
+    init = np.random.default_rng(4).normal(0.0, 1e-4, size=(len(z), 2))
+    p = symmetrize_affinities(conditional_affinities(z, 8.0))
     kl_start = kl_divergence(p, low_dim_affinities(init))
     emb = embed(z, 8.0, 300, 4, initial_coords=init)
-    kl_end = kl_divergence(p, low_dim_affinities(emb.coords))
+    kl_end = kl_divergence(p, low_dim_affinities(emb))
     assert kl_end < kl_start
 
     elapsed = time.perf_counter() - start
@@ -221,7 +221,7 @@ def figure2_run():
     cfg = SelectionConfig(seed=3, perplexity=30.0, tsne_iterations=500, fold_count=5)
     curve = mss_curve_cv(train, cfg)
     emb = embed(build_feature_space(train), cfg.perplexity, cfg.tsne_iterations, cfg.seed)
-    curves = index_curves(emb.coords, curve.ks)
+    curves = index_curves(emb, curve.ks)
     accuracies = np.array(
         [
             evaluate(train, test, cl.medoids.tolist(), n_neighbors=5).accuracy

@@ -83,7 +83,7 @@ def oracle_relieff(x, codes, n_classes, neighbors, picks):
     return w
 
 
-def oracle_relieff_loop(d, neighbors, sample_count, seed):
+def oracle_relieff_loop(d, neighbors, seed):
     """relieff_weights as it was before one selection served every class:
     the per-pick argsort and per-class loop, verbatim (test oracle)."""
     codes = d.label_codes()
@@ -96,10 +96,10 @@ def oracle_relieff_loop(d, neighbors, sample_count, seed):
 
     priors = counts / n
     rng = np.random.default_rng(seed)
-    picks = rng.choice(n, size=sample_count, replace=False)
+    picks = rng.choice(n, size=n, replace=False)
 
     weights = np.zeros(m)
-    scale = 1.0 / (sample_count * neighbors)
+    scale = 1.0 / (n * neighbors)
     for a in picks:
         diffs = np.abs(xn - xn[a])
         dvec = diffs.sum(axis=1)
@@ -143,16 +143,16 @@ def relieff_problems(draw):
     labels = np.repeat(np.array(class_ids, dtype=object), sizes)
     labels = labels[draw(st.permutations(range(n)))]
     d = Dataset(x, labels, [f"f{j}" for j in range(m)], class_ids)
-    return d, neighbors, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+    return d, neighbors, draw(st.integers(0, 2**32 - 1))
 
 
 class TestRelieff:
     @settings(max_examples=300, deadline=None)
     @given(problem=relieff_problems())
     def test_bitwise_equal_to_pick_loop(self, problem):
-        d, neighbors, sample_count, seed = problem
-        got = relieff_weights(d, neighbors=neighbors, sample_count=sample_count, seed=seed)
-        expected = oracle_relieff_loop(d, neighbors, sample_count, seed)
+        d, neighbors, seed = problem
+        got = relieff_weights(d, neighbors=neighbors, seed=seed)
+        expected = oracle_relieff_loop(d, neighbors, seed)
         assert np.array_equal(got.scores, expected)
 
     def _six_instance(self):

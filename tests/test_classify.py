@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepselect import classify
+from sepselect import distances
 from sepselect.classify import (
     _majority,
-    _squared_distance_blocks,
     accuracy,
     balanced_f,
     evaluate,
     knn_predict,
 )
 from sepselect.dataio import Dataset
+from sepselect.distances import squared_blocks
 from sepselect.errors import DataError
 
 
@@ -156,7 +156,7 @@ class TestKnnAgainstRowLoop:
         expected, dists = oracle_knn(train, test, subset, k)
         assert np.array_equal(knn_predict(train, test, subset, k), expected)
         a, b = train.instances[:, subset], test.instances[:, subset]
-        assert np.array_equal(np.vstack(list(_squared_distance_blocks(a, b))), np.vstack(dists))
+        assert np.array_equal(np.vstack(list(squared_blocks(b, a))), np.vstack(dists))
 
     @pytest.mark.parametrize("block_bytes", [1, 10**12])
     def test_block_size_does_not_change_results(self, block_bytes, monkeypatch):
@@ -169,9 +169,9 @@ class TestKnnAgainstRowLoop:
         subset = [0, 2, 3, 5, 6, 7, 8, 1]
         base = knn_predict(train, test, subset, 7)
         a, b = train.instances[:, subset], test.instances[:, subset]
-        base_d2 = np.vstack(list(_squared_distance_blocks(a, b)))
-        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
-        blocks = list(_squared_distance_blocks(a, b))
+        base_d2 = np.vstack(list(squared_blocks(b, a)))
+        monkeypatch.setattr(distances, "_BLOCK_BYTES", block_bytes)
+        blocks = list(squared_blocks(b, a))
         assert len(blocks) == (100 if block_bytes == 1 else 1)
         assert np.array_equal(np.vstack(blocks), base_d2)
         assert np.array_equal(knn_predict(train, test, subset, 7), base)

@@ -364,6 +364,35 @@ class TestCompare:
             texts.append(text[: text.index(b"prediction timing")])
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--neighbors", "0", "n_neighbors must be in [1, "),
+            ("--neighbors", "500", "n_neighbors must be in [1, "),
+            ("--relieff-neighbors", "0", "neighbors must be >= 1"),
+            ("--relieff-neighbors", "40", "every class needs more than 40 samples"),
+        ],
+    )
+    def test_bad_neighbour_counts_fail_before_any_fold(
+        self, csv_path, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        # these once failed only after the whole cross-validated selection
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "cmp")
+        args = _compare_args(csv_path, outdir)
+        args[args.index(flag) + 1] = value
+        assert main(args) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(outdir)
+
     def test_first_repetition_reuses_the_selection_clustering(self, csv_path, tmp_path, monkeypatch):
         # repetition 0 has the selection's split, seed and k: only the
         # other repetitions cluster again

@@ -1,7 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepselect import distances
 from sepselect.distances import cross, nearest, squared_pairwise
 
 
@@ -31,6 +36,47 @@ class TestCross:
         assert d.shape == (12, 2)
         assert d[5, 1] == 0.0 and d[7, 0] == 0.0
         assert d[0, 1] == np.sqrt(np.sum((x[0] - x[5]) ** 2))
+
+
+@st.composite
+def row_pairs(draw):
+    """C-ordered a and b whose rows repeat within a and between a and b;
+    up to 40 columns, so the sums of 8 or more terms are pairwise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 40))
+    pool = rng.random((draw(st.integers(1, 12)), d))
+    a = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=25))]
+    b = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=25))]
+    return a, b
+
+
+class TestBlockedCross:
+    @pytest.mark.parametrize("block_bytes", [1, distances._BLOCK_BYTES, 10**12])
+    @settings(max_examples=200, deadline=None)
+    @given(problem=row_pairs())
+    def test_bitwise_equal_to_one_shot_differences(self, block_bytes, problem):
+        # one row of a per block, the default blocks, all of a in one block
+        a, b = problem
+        expected = np.sqrt(np.sum((a[:, None] - b[None]) ** 2, axis=2))
+        with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
+            got = cross(a, b)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_within_two_results_and_one_block(self):
+        # M = 200 features in a 12-class pair space (C^2 = 144): the
+        # one-shot (M, M, C^2) temporary took 46 MB and its square as much
+        m, pairs = 200, 144
+        z = np.random.default_rng(0).random((m, pairs))
+        cross(z[:10], z[:10])  # warm up first: lazily imported numpy helpers would count as peak
+        tracemalloc.start()
+        try:
+            cross(z, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (M, M) result, its blocks, and one row block of differences
+        block = max(pairs * m * 8, distances._BLOCK_BYTES)
+        assert peak <= 2 * m * m * 8 + block + 64 * 1024
 
 
 class TestSquaredPairwise:

@@ -17,12 +17,11 @@ from sepselect.pipeline import (
     mss_curve_cv,
     select_at_k,
     select_features,
-    validation_distances,
     validation_mss,
 )
 from sepselect.distances import cross
 from sepselect.kmedoids import ClusteringResult, _assign
-from sepselect.separability import SeparabilityMatrix, build_feature_space
+from sepselect.separability import build_feature_space
 from sepselect.validity import mss
 
 
@@ -67,7 +66,8 @@ def tied_rows(tie):
 
 
 def _validation_mss(z, medoids):
-    return validation_mss(validation_distances(SeparabilityMatrix(z=np.asarray(z, float))), medoids)
+    z = np.asarray(z, float)
+    return validation_mss(cross(z, z), medoids)
 
 
 class TestValidationScoring:
@@ -87,9 +87,12 @@ class TestValidationScoring:
         assert np.isnan(_validation_mss([[0.0, 0.0], [3.0, 0.0], [9.0, 1.0]], [0, 1, 2]))
 
     def test_distance_columns_equal_cross_columns(self):
+        # validation_mss slices the columns of cross(z, z) where mss would
+        # compute cross(z, z[medoids])
         z = np.random.default_rng(2).random((9, 5))
-        d_val = validation_distances(SeparabilityMatrix(z=z))
-        assert np.array_equal(d_val, cross(z, z))
+        d_val = cross(z, z)
+        for j in range(len(z)):
+            assert np.array_equal(d_val[:, j], cross(z, z[j : j + 1])[:, 0])
 
     def test_bitwise_equal_to_mss_of_nearest_medoid_clustering(self):
         # C = 8 classes and 30 independent features; every k up to M, so many
@@ -98,9 +101,9 @@ class TestValidationScoring:
         d, _ = redundant_groups(
             n_instances=160, n_classes=8, group_sizes=[1] * 30, noise=1.0, seed=4
         )
-        z = build_feature_space(minmax_normalize(d)).z
+        z = build_feature_space(minmax_normalize(d))
         m = z.shape[0]
-        d_val = validation_distances(SeparabilityMatrix(z=z))
+        d_val = cross(z, z)
         rng = np.random.default_rng(5)
         for k in range(2, m + 1):
             for _ in range(3):
@@ -177,7 +180,7 @@ class TestSelectFeatures:
         b = select_features(data, small_cfg())
         assert a.k_min == b.k_min
         assert a.selected_features == b.selected_features
-        assert np.array_equal(a.embedding.coords, b.embedding.coords)
+        assert np.array_equal(a.embedding, b.embedding)
         assert np.array_equal(a.curve.fold_values, b.curve.fold_values, equal_nan=True)
 
     def test_dropping_a_duplicate_is_stable(self, duplicate_groups):
@@ -300,7 +303,7 @@ class TestFoldWorkers:
         assert first_warnings or case == "redundant"  # the tied rows warn in every fold
         for result, caught in others:
             assert result.curve.fold_values.tobytes() == first.curve.fold_values.tobytes()
-            assert result.embedding.coords.tobytes() == first.embedding.coords.tobytes()
+            assert result.embedding.tobytes() == first.embedding.tobytes()
             assert result.selected_features == first.selected_features
             assert result.knee_source == first.knee_source
             assert caught == first_warnings
@@ -412,10 +415,10 @@ class TestIndexCurves:
         data, _ = duplicate_groups
         cfg = small_cfg()
         emb, _ = select_at_k(data, 2, cfg)
-        curves = index_curves(emb.coords, range(2, 6))
+        curves = index_curves(emb, range(2, 6))
         assert len(curves.silhouette) == 4
         assert len(curves.clusterings) == 4
         assert np.all(np.isfinite(curves.silhouette))
         # mean-simplified value matches a direct recomputation
-        direct = mss(emb.coords, curves.clusterings[0]).aggregate
+        direct = mss(emb, curves.clusterings[0]).aggregate
         assert curves.mean_simplified[0] == pytest.approx(direct, abs=1e-15)

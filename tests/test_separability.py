@@ -109,10 +109,8 @@ class TestJmMatrix:
         rng = np.random.default_rng(5)
         cols = [rng.normal(size=40) for _ in range(3)]
         labels = [f"c{i % 2}" for i in range(40)]
-        base = build_feature_space(_dataset(cols, labels)).z
-        scaled = build_feature_space(
-            _dataset([7.3 * c for c in cols], labels)
-        ).z
+        base = build_feature_space(_dataset(cols, labels))
+        scaled = build_feature_space(_dataset([7.3 * c for c in cols], labels))
         assert np.allclose(base, scaled, rtol=1e-9, atol=1e-12)
 
     def test_bad_feature_index(self):
@@ -127,9 +125,9 @@ class TestFeatureSpace:
             [[0, 1, 2, 3], [5, 2, 8, 1], [1, 1, 1, 1]], ["a", "b", "a", "b"]
         )
         z = build_feature_space(d)
-        assert z.z.shape == (3, 4)
-        assert np.all(z.z[:, 0] == 0.0)  # pair (a, a)
-        assert np.all(z.z[:, 3] == 0.0)  # pair (b, b)
+        assert z.shape == (3, 4)
+        assert np.all(z[:, 0] == 0.0)  # pair (a, a)
+        assert np.all(z[:, 3] == 0.0)  # pair (b, b)
 
     def test_rows_match_per_feature_matrices(self):
         rng = np.random.default_rng(2)
@@ -138,7 +136,7 @@ class TestFeatureSpace:
         z = build_feature_space(d)
         stats = class_stats(d)
         for f in range(5):
-            assert np.array_equal(z.z[f], jm_matrix(stats, f).reshape(-1))
+            assert np.array_equal(z[f], jm_matrix(stats, f).reshape(-1))
 
     def test_duplicate_features_give_identical_rows(self):
         rng = np.random.default_rng(9)
@@ -146,12 +144,12 @@ class TestFeatureSpace:
         labels = ["a", "b"] * 10
         d = _dataset([col, col.copy(), rng.normal(size=20)], labels)
         z = build_feature_space(d)
-        assert np.array_equal(z.z[0], z.z[1])
+        assert np.array_equal(z[0], z[1])
 
     def test_constant_feature_row_is_zero(self):
         d = _dataset([[4, 4, 4, 4], [0, 1, 2, 3]], ["a", "b", "a", "b"])
         z = build_feature_space(d)
-        assert np.all(z.z[0] == 0.0)
+        assert np.all(z[0] == 0.0)
 
     def test_pair_column_names(self):
         assert pair_column_names(["a", "b"]) == [

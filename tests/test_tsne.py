@@ -185,14 +185,14 @@ class TestEmbed:
         rng = np.random.default_rng(0)
         z = rng.uniform(size=(50, 25))  # M=50 points, C=5 pair space
         emb = embed(z, 10.0, 50, 3)
-        assert emb.coords.shape == (50, 2)
-        assert np.all(np.isfinite(emb.coords))
+        assert emb.shape == (50, 2)
+        assert np.all(np.isfinite(emb))
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(1)
         z = rng.uniform(size=(20, 9))
-        a = embed(z, 6.0, 80, 11).coords
-        b = embed(z, 6.0, 80, 11).coords
+        a = embed(z, 6.0, 80, 11)
+        b = embed(z, 6.0, 80, 11)
         assert np.array_equal(a, b)
 
     def test_kl_decreases_on_clustered_input(self):
@@ -202,16 +202,16 @@ class TestEmbed:
         p = symmetrize_affinities(conditional_affinities(z, 8.0))
         kl_initial = kl_divergence(p, low_dim_affinities(init))
         emb = embed(z, 8.0, 300, 2, initial_coords=init)
-        kl_final = kl_divergence(p, low_dim_affinities(emb.coords))
+        kl_final = kl_divergence(p, low_dim_affinities(emb))
         assert kl_final < kl_initial
 
     def test_permutation_equivariance_of_distances(self):
         rng = np.random.default_rng(31)
         z = rng.normal(size=(12, 5))
         init = rng.normal(0.0, 1e-4, size=(12, 2))
-        base = embed(z, 5.0, 25, 0, initial_coords=init).coords
+        base = embed(z, 5.0, 25, 0, initial_coords=init)
         perm = rng.permutation(12)
-        permuted = embed(z[perm], 5.0, 25, 0, initial_coords=init[perm]).coords
+        permuted = embed(z[perm], 5.0, 25, 0, initial_coords=init[perm])
 
         def dists(c):
             return np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
