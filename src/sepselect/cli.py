@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .baselines import (
 from .classify import DEFAULT_NEIGHBORS, check_neighbors, evaluate
 from .dataio import TRAIN_FRACTION, load_csv, minmax_normalize, split_train_test
 from .errors import DataError, NumericalError
+from .forkmap import run_tasks, settle
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
 from .separability import build_feature_space, pair_column_names
 from .svgplot import LineChart, ScatterChart
@@ -383,21 +385,22 @@ def cmd_compare(args):
         raise DataError("repetitions must be >= 1")
     sel_cfg = cfg.selection
     train0, test0 = split_train_test(data, sel_cfg.seed)
-    # bad neighbor counts fail here, not after the selection's folds
+    # bad neighbor counts fail here, not after the selection's folds; every
+    # split has as many training rows as the first, but its own class sizes
     check_neighbors(cfg.n_neighbors, train0.n_instances)
-    check_relieff_neighbors(train0, args.relieff_neighbors)
+    for r in range(reps):
+        train = train0 if r == 0 else split_train_test(data, sel_cfg.seed + r)[0]
+        check_relieff_neighbors(train, args.relieff_neighbors)
     outdir = _outdir(cfg)
 
     # k_min from a full CV selection on the first repetition's training split
     result = select_features(train0, sel_cfg)
     k_min = result.k_min
-
     methods = ("sepselect",) + _BASELINES
-    acc = {m: [] for m in methods}
-    bal = {m: [] for m in methods}
-    subset_times, all_times = [], []
 
-    for r in range(reps):
+    def repetition(r):
+        """(accuracy, balanced F) per method, and the predict seconds of
+        the selected subset and of all features, on repetition r's split."""
         rep_seed = sel_cfg.seed + r
         if r == 0:
             # same split, seed and k as the selection's final clustering
@@ -409,17 +412,26 @@ def cmd_compare(args):
         subsets = {"sepselect": selected}
         for m in _BASELINES:
             subsets[m] = _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
-
-        for m in methods:
-            report = evaluate(train, test, subsets[m], n_neighbors=cfg.n_neighbors)
-            acc[m].append(report.accuracy)
-            bal[m].append(report.balanced_f)
-            if m == "sepselect":
-                subset_times.append(report.predict_time)
+        reports = [evaluate(train, test, subsets[m], n_neighbors=cfg.n_neighbors) for m in methods]
         full = evaluate(
             train, test, list(range(data.n_features)), n_neighbors=cfg.n_neighbors
         )
-        all_times.append(full.predict_time)
+        scores = [(report.accuracy, report.balanced_f) for report in reports]
+        return scores, reports[0].predict_time, full.predict_time
+
+    # the repetitions are independent: run them side by side, settle them in order
+    tasks = [partial(repetition, r) for r in range(reps)]
+    outcomes = run_tasks(tasks, [f"repetition {r}" for r in range(reps)])
+    acc = {m: [] for m in methods}
+    bal = {m: [] for m in methods}
+    subset_times, all_times = [], []
+    for outcome in outcomes:
+        scores, subset_time, all_time = settle(outcome)
+        for m, (accuracy, balanced_f) in zip(methods, scores):
+            acc[m].append(accuracy)
+            bal[m].append(balanced_f)
+        subset_times.append(subset_time)
+        all_times.append(all_time)
 
     t_subset = float(np.mean(subset_times))
     t_all = float(np.mean(all_times))

@@ -16,42 +16,37 @@ assigned to the nearest medoid feature there and the validity index is
 evaluated on that geometry. The strategy is isolated in validation_mss()
 so an alternative reading is a one-function change.
 
-Workers: the folds are independent, so they run on one process per
-usable CPU (os.sched_getaffinity), at most one per fold. Fold f runs in
-worker f mod workers; worker 0 is the calling process and the others
-are forked children that send their folds' outcomes back, pickled,
-through a pipe. Where the platform has no os.fork or no
-os.sched_getaffinity, or one CPU is usable, every fold runs in the
-calling process. Each fold's warnings are recorded and its exception
-caught; the caller then replays the folds in fold order, issuing each
-fold's warnings and raising the first fold error with its type and
-message, as a serial loop would. Outputs do not depend on the worker
-count. A child that dies without sending its result raises RuntimeError
-naming the fold and the exit status, and every child is reaped before
-mss_curve_cv returns or raises.
+Workers: the folds and the final embedding of the whole training set
+do not depend on each other or on the knee, so select_features hands all
+fold_count + 1 of them to forkmap.run_tasks as one list of tasks, and
+mss_curve_cv hands it the folds alone. run_tasks runs them on one process
+per usable CPU, at most one per task: task t in worker t mod workers,
+worker 0 being the calling process (see forkmap.py). Each outcome is
+settled where a serial loop would have run its task: the folds in fold
+order before the knee, the final embedding after it, so its warnings and
+errors follow the knee's. Outputs, warnings and errors do not depend on
+the worker count.
 
 Clustering: each fold embedding is clustered for the whole k sweep by
 one warm-started pam_sweep, which draws no random numbers; the final
-clustering at k_min (select_at_k) is a seeded pam_cluster with k-means++
-restarts.
+clustering at k_min, like select_at_k's at its k, is a seeded pam_cluster
+with k-means++ restarts.
 
 Seeds: the final full-train embedding uses the base seed; fold f uses
 base + 1 + f. The final clustering's seed is derived from (base, k)
 through SeedSequence, so runs are reproducible.
 """
 
-import os
-import pickle
-import signal
-import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .dataio import check_fold_classes, make_folds
 from .distances import cross
 from .errors import DataError, require_integer, require_positive
+from .forkmap import run_tasks, settle
 from .kmedoids import _assign, pam_cluster, pam_sweep
 from .knee import Curve, chord_difference_argmax, kneedle
 from .separability import build_feature_space
@@ -140,6 +135,14 @@ def mss_curve_cv(train, cfg):
     in the average at that k. The folds run in parallel worker processes
     (see the module docstring); the result does not depend on how many.
     """
+    ks, tasks = _fold_tasks(train, cfg)
+    return _curve(ks, run_tasks(tasks, _fold_labels(tasks)))
+
+
+def _fold_tasks(train, cfg):
+    """(ks, tasks): the k sweep [2, k_hi] and one zero-argument task per
+    fold that returns the fold's validity values over it. Bad sweeps,
+    perplexities and folds raise DataError here, before any fold work."""
     m = train.n_features
     k_hi = min(cfg.k_max or m, m)
     ks = np.arange(2, k_hi + 1)
@@ -149,8 +152,17 @@ def mss_curve_cv(train, cfg):
 
     folds = make_folds(train, cfg.fold_count, cfg.seed)
     check_fold_classes(train, folds)
-    fold_values = np.array(_fold_rows(folds, cfg, k_hi))
+    tasks = [partial(_fold_values, tr, val, cfg, f, k_hi) for f, (tr, val) in enumerate(folds)]
+    return ks, tasks
 
+
+def _fold_labels(tasks):
+    return [f"fold {f}" for f in range(len(tasks))]
+
+
+def _curve(ks, outcomes):
+    """The curve of the folds' outcomes, settled in fold order."""
+    fold_values = np.array([settle(outcome) for outcome in outcomes])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
         averaged = np.nanmean(fold_values, axis=0)
@@ -168,121 +180,15 @@ def _fold_values(tr_part, val_part, cfg, f, k_hi):
     return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(coords, k_hi)])
 
 
-def _worker_count(fold_count):
-    """Processes the folds run on: the usable CPUs, at most one per fold;
-    1 where the platform cannot fork or report the CPUs usable."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), fold_count)
-
-
-def _run_share(folds, cfg, k_hi, share):
-    """{fold: (warnings, error, values)} for the folds of share, run in
-    order. Warnings are recorded as (message, category, filename, lineno);
-    the share stops at its first error, as no later fold's outcome is
-    replayed after it."""
-    outcomes = {}
-    for f in share:
-        values = error = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                values = _fold_values(*folds[f], cfg, f, k_hi)
-            except Exception as exc:  # replayed by the caller, in fold order
-                error = exc
-        recorded = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        outcomes[f] = (recorded, error, values)
-        if error is not None:
-            break
-    return outcomes
-
-
-def _child(write_fd, folds, cfg, k_hi, share):
-    """Body of a forked worker: send the share's outcomes, pickled, through
-    write_fd and exit without returning; status 0 only once all is sent."""
-    status = 1
-    try:
-        payload = pickle.dumps(_run_share(folds, cfg, k_hi, share))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _replay_warning(message, category, filename, lineno):
-    """Issue a recorded warning again as warnings.warn issued it: same
-    location, module and per-module registry, so a filter that shows a
-    warning once per location still does."""
-    module = next(
-        (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None
-    )
-    if module is None:
-        warnings.warn_explicit(message, category, filename, lineno)
-    else:
-        registry = vars(module).setdefault("__warningregistry__", {})
-        warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
-
-
-def _fold_rows(folds, cfg, k_hi):
-    """Every fold's validity values, in fold order, over _worker_count
-    processes (see the module docstring). Each fold's warnings are issued
-    in fold order and the first fold error is raised after the warnings
-    of the folds before it."""
-    workers = _worker_count(len(folds))
-    shares = [range(w, len(folds), workers) for w in range(workers)]
-    children = []  # (pid, read end of its pipe, its share)
-    exit_codes = {}  # pid -> exit code, once reaped
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _child(write_fd, folds, cfg, k_hi, share)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        outcomes = _run_share(folds, cfg, k_hi, shares[0])
-        lost = {}  # fold -> exit code of the child that ran it and sent nothing
-        for pid, read_fd, share in children:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if exit_codes[pid] == 0 and payload:
-                outcomes.update(pickle.loads(payload))
-            else:
-                lost.update(dict.fromkeys(share, exit_codes[pid]))
-    finally:
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            if pid not in exit_codes:  # leaving on an error or an interrupt
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-    rows = []
-    for f in range(len(folds)):
-        if f in lost:
-            raise RuntimeError(
-                f"the worker process of fold {f} exited with status {lost[f]} without a result"
-            )
-        caught, error, values = outcomes[f]
-        for record in caught:
-            _replay_warning(*record)
-        if error is not None:
-            raise error
-        rows.append(values)
-    return rows
-
-
 def select_features(train, cfg):
     """Full selection: CV curve -> knee -> final clustering at k_min on the
-    whole training set; the selected features are the final medoids."""
-    curve = mss_curve_cv(train, cfg)
+    whole training set; the selected features are the final medoids. The
+    final embedding does not depend on the knee, so it runs beside the
+    folds and is settled after the knee."""
+    ks, tasks = _fold_tasks(train, cfg)
+    labels = _fold_labels(tasks) + ["the final embedding"]
+    *fold_outcomes, final = run_tasks(tasks + [partial(_embed_all, train, cfg)], labels)
+    curve = _curve(ks, fold_outcomes)
     ks_def, avg_def = curve.defined()
     if len(ks_def) < 3:
         raise DataError("too few defined curve points for knee detection")
@@ -303,7 +209,8 @@ def select_features(train, cfg):
         )
     k_min = int(round(knee_x))
 
-    embedding, clustering = select_at_k(train, k_min, cfg)
+    embedding = settle(final)
+    clustering = pam_cluster(embedding, k_min, _derived_seed(cfg.seed, k_min))
     selected = clustering.medoids.tolist()
     return SelectionResult(
         k_min=k_min,
@@ -316,12 +223,16 @@ def select_features(train, cfg):
     )
 
 
+def _embed_all(train, cfg):
+    """The (M, 2) embedding of the whole training set, with the base seed."""
+    return embed(build_feature_space(train), cfg.perplexity, cfg.tsne_iterations, cfg.seed)
+
+
 def select_at_k(train, k, cfg):
     """One-shot subset of a known size: embed the full training set and
     cluster at k. Returns (coords, clustering): the (M, 2) embedding and
     its clustering, whose medoids are the selected feature indices."""
-    z = build_feature_space(train)
-    coords = embed(z, cfg.perplexity, cfg.tsne_iterations, cfg.seed)
+    coords = _embed_all(train, cfg)
     return coords, pam_cluster(coords, k, _derived_seed(cfg.seed, k))
 
 

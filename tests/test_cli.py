@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -393,11 +394,137 @@ class TestCompare:
         assert calls == []
         assert not os.path.exists(outdir)
 
-    def test_first_repetition_reuses_the_selection_clustering(self, csv_path, tmp_path, monkeypatch):
+    def test_a_later_repetitions_split_fails_before_any_fold(
+        self, csv_path, tmp_path, capsys, monkeypatch
+    ):
+        # the first split's classes have 19/17/18 training rows, repetition
+        # 1's 21/19/14; this once failed only after the whole selection
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "cmp")
+        args = _compare_args(csv_path, outdir)
+        args[args.index("--seed") + 1] = "11"
+        args[args.index("--relieff-neighbors") + 1] = "15"
+        assert main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: every class needs more than 15 samples; too small: ['c2']\n"
+        assert calls == []
+        assert not os.path.exists(outdir)
+
+    def test_first_repetition_reuses_the_selection_clustering(
+        self, csv_path, tmp_path, monkeypatch, pin_workers
+    ):
         # repetition 0 has the selection's split, seed and k: only the
-        # other repetitions cluster again
+        # other repetitions cluster again. One worker, so that every call
+        # is made, and recorded, in this process.
+        pin_workers(1)
         calls = []
         real = cli.select_at_k
         monkeypatch.setattr(cli, "select_at_k", lambda *a: calls.append(a) or real(*a))
         assert main(_compare_args(csv_path, str(tmp_path / "cmp"))) == 0
         assert [cfg.seed for _, _, cfg in calls] == [7]
+
+
+@pytest.fixture(scope="module")
+def tied_csv_path(tmp_path_factory):
+    # five exact copies of one column: their separability rows tie, so every
+    # embedding at perplexity 3 warns about their rows
+    d, _ = redundant_groups(
+        n_instances=90,
+        n_classes=3,
+        group_sizes=[5, 3, 2],
+        strengths=[2.0, 2.0, 1.5],
+        noise=0.35,
+        seed=5,
+        exact_copies=True,
+    )
+    path = tmp_path_factory.mktemp("data") / "tied.csv"
+    write_csv(str(path), d)
+    return str(path)
+
+
+def _stable_compare(outdir):
+    text = open(os.path.join(outdir, "compare.txt"), "rb").read()
+    return text[: text.index(b"prediction timing")]
+
+
+@pytest.mark.usefixtures("bounded_and_no_child_left")
+class TestCompareWorkers:
+    """compare runs its repetitions side by side, one task each, after the
+    selection's folds and final embedding."""
+
+    def test_output_and_warnings_do_not_depend_on_worker_count(
+        self, tied_csv_path, tmp_path, monkeypatch, pin_workers
+    ):
+        real = cli.select_at_k
+
+        def announced(train, k, cfg):
+            warnings.warn(f"clustering with seed {cfg.seed}")
+            return real(train, k, cfg)
+
+        monkeypatch.setattr(cli, "select_at_k", announced)
+        runs = []
+        for workers in (1, 2, 3):
+            pin_workers(workers)
+            outdir = str(tmp_path / f"w{workers}")
+            args = _compare_args(tied_csv_path, outdir)
+            args[args.index("--perplexity") + 1] = "3"
+            args[args.index("--repetitions") + 1] = "3"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(args) == 0
+            runs.append((_stable_compare(outdir), [(w.category, str(w.message)) for w in caught]))
+        text, caught = runs[0]
+        seeds = [message for _, message in caught if message.startswith("clustering")]
+        assert seeds == ["clustering with seed 7", "clustering with seed 8"]
+        assert len(caught) > len(seeds)  # the tied rows warn in every embedding
+        assert runs[1:] == [runs[0]] * 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_that_dies_in_a_repetition_gives_runtime_error(
+        self, workers, csv_path, tmp_path, monkeypatch, pin_workers
+    ):
+        parent, real = os.getpid(), cli.select_at_k
+
+        def dying(train, k, cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(train, k, cfg)
+
+        monkeypatch.setattr(cli, "select_at_k", dying)
+        pin_workers(workers)
+        outdir = str(tmp_path / "cmp")
+        with pytest.raises(RuntimeError) as info:
+            main(_compare_args(csv_path, outdir))
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == (
+            "the worker process of repetition 1 exited with status 1 without a result"
+        )
+
+    def test_at_most_workers_minus_one_children_at_once(
+        self, csv_path, tmp_path, monkeypatch, pin_workers
+    ):
+        children = f"/proc/self/task/{os.getpid()}/children"
+        if not os.path.exists(children):
+            pytest.skip("the kernel does not list a process's children")
+        parent, seen = os.getpid(), []
+        real = cli.evaluate
+
+        def counting(*args, **kwargs):
+            if os.getpid() == parent:
+                with open(children, encoding="ascii") as fh:
+                    seen.append(len(fh.read().split()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        pin_workers(3)
+        args = _compare_args(csv_path, str(tmp_path / "cmp"))
+        args[args.index("--repetitions") + 1] = "4"
+        assert main(args) == 0
+        assert seen and max(seen) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _datasets import gaussian_blobs, redundant_groups
-from sepselect import kmedoids, pipeline
+from sepselect import kmedoids
 from sepselect.errors import DataError, NumericalError
 from sepselect.dataio import minmax_normalize
 from sepselect.distances import squared_pairwise
@@ -371,7 +371,7 @@ class TestPamSweep:
         assert sweep_total < 1.02 * pam_total
 
 
-def test_mss_curve_cv_builds_one_distance_matrix_per_fold_and_never_seeds(monkeypatch):
+def test_mss_curve_cv_builds_one_distance_matrix_per_fold_and_never_seeds(monkeypatch, pin_workers):
     d, _ = redundant_groups(90, 3, [3, 3], strengths=[2.0, 2.0], noise=0.3, seed=1)
     cfg = SelectionConfig(seed=7, perplexity=2.5, tsne_iterations=100, fold_count=4)
     calls = []
@@ -388,7 +388,7 @@ def test_mss_curve_cv_builds_one_distance_matrix_per_fold_and_never_seeds(monkey
     monkeypatch.setattr(kmedoids, "kmeanspp_init", no_seeding)
     # one worker: calls made in forked workers are not counted here; the
     # seeding guard would still raise through them, as they inherit it
-    monkeypatch.setattr(pipeline, "_worker_count", lambda fold_count: 1)
+    pin_workers(1)
     curve = mss_curve_cv(minmax_normalize(d), cfg)
     assert calls == [(6, 2)] * cfg.fold_count
     assert curve.ks.tolist() == [2, 3, 4, 5, 6]

@@ -1,5 +1,4 @@
 import os
-import signal
 import subprocess
 import sys
 import warnings
@@ -257,10 +256,6 @@ class TestSelectFeatures:
             SelectionConfig(**{field: value})
 
 
-def pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(pipeline, "_worker_count", lambda fold_count: workers)
-
-
 def fold_of(seed, cfg):
     return seed - cfg.seed - 1  # fold f embeds with seed base + 1 + f
 
@@ -273,31 +268,17 @@ def recorded_selection(data, cfg):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+@pytest.mark.usefixtures("bounded_and_no_child_left")
 class TestFoldWorkers:
-    @pytest.fixture(autouse=True)
-    def bounded_and_no_child_left(self):
-        def hung(signum, frame):
-            raise TimeoutError("the fold workers took more than 120 s")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(120)  # forked children do not inherit the alarm
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):  # no child, running or zombie
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("case", ["redundant", "tied duplicate"])
-    def test_outputs_and_warnings_do_not_depend_on_worker_count(self, case, redundant, monkeypatch):
+    def test_outputs_and_warnings_do_not_depend_on_worker_count(self, case, redundant, pin_workers):
         if case == "redundant":
             data, cfg = redundant, small_cfg(perplexity=12.0, tsne_iterations=120)
         else:
             data, cfg = tied_rows("duplicate"), small_cfg(perplexity=3.0)
         runs = []
         for workers in (1, 2, 3):
-            pin_workers(monkeypatch, workers)
+            pin_workers(workers)
             runs.append(recorded_selection(data, cfg))
         (first, first_warnings), others = runs[0], runs[1:]
         assert first_warnings or case == "redundant"  # the tied rows warn in every fold
@@ -310,11 +291,11 @@ class TestFoldWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_warning_every_fold_repeats_shows_once_under_the_default_filter(
-        self, workers, monkeypatch
+        self, workers, pin_workers
     ):
         # as in a serial loop, where warnings.warn shows a message once per
         # location; the tied rows give the same tie warnings in every fold
-        pin_workers(monkeypatch, workers)
+        pin_workers(workers)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             mss_curve_cv(tied_rows("duplicate"), small_cfg(perplexity=3.0))
@@ -323,7 +304,7 @@ class TestFoldWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_fold_error_follows_the_warnings_of_earlier_folds(
-        self, workers, redundant, monkeypatch
+        self, workers, redundant, monkeypatch, pin_workers
     ):
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         real = pipeline.embed
@@ -336,7 +317,7 @@ class TestFoldWorkers:
             return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", failing_embed)
-        pin_workers(monkeypatch, workers)
+        pin_workers(workers)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DataError) as info:
@@ -347,7 +328,9 @@ class TestFoldWorkers:
         ]
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_assertion_in_a_child_comes_back_as_assertion(self, workers, redundant, monkeypatch):
+    def test_assertion_in_a_child_comes_back_as_assertion(
+        self, workers, redundant, monkeypatch, pin_workers
+    ):
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
@@ -357,12 +340,14 @@ class TestFoldWorkers:
             return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", asserting_embed)
-        pin_workers(monkeypatch, workers)
+        pin_workers(workers)
         with pytest.raises(AssertionError, match=r"^fold 1 ran in a child$"):
             mss_curve_cv(redundant, cfg)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_child_that_dies_gives_runtime_error(self, workers, redundant, monkeypatch):
+    def test_child_that_dies_gives_runtime_error(
+        self, workers, redundant, monkeypatch, pin_workers
+    ):
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
@@ -372,7 +357,7 @@ class TestFoldWorkers:
             return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", dying_embed)
-        pin_workers(monkeypatch, workers)
+        pin_workers(workers)
         with pytest.raises(RuntimeError) as info:
             mss_curve_cv(redundant, cfg)
         assert type(info.value) is RuntimeError
@@ -380,7 +365,76 @@ class TestFoldWorkers:
             "the worker process of fold 1 exited with status 1 without a result"
         )
 
-    def test_interrupt_in_this_process_stops_and_reaps_the_children(self, redundant, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["warning", "error", "knee error"])
+    def test_final_embedding_is_settled_after_the_knee(
+        self, case, workers, redundant, monkeypatch, pin_workers
+    ):
+        # it runs beside the folds, but its warnings and errors come where
+        # a serial run's did: after the knee's
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        real = pipeline.embed
+
+        def final_embedding_warns(z, perplexity, iterations, seed):
+            if seed == cfg.seed:  # the folds embed with seed base + 1 + f
+                warnings.warn("final embedding")
+                if case != "warning":
+                    raise DataError("final embedding failed")
+            return real(z, perplexity, iterations, seed)
+
+        def no_knee(curve):
+            if case == "knee error":
+                raise DataError("knee failed")
+            return None
+
+        monkeypatch.setattr(pipeline, "embed", final_embedding_warns)
+        monkeypatch.setattr(pipeline, "kneedle", no_knee)
+        pin_workers(workers)
+        if case == "warning":
+            result, caught = recorded_selection(redundant, cfg)
+            assert result.knee_source == "chord_fallback"
+        else:
+            with warnings.catch_warnings(record=True) as recorded:
+                warnings.simplefilter("always")
+                with pytest.raises(DataError) as info:
+                    select_features(redundant, cfg)
+            caught = [(w.category, str(w.message)) for w in recorded]
+            failed = "knee failed" if case == "knee error" else "final embedding failed"
+            assert str(info.value) == failed
+        no_knee_warning = (
+            UserWarning,
+            "no knee detected on the validity curve; "
+            "falling back to the chord-difference maximum",
+        )
+        if case == "knee error":
+            assert caught == []
+        else:
+            assert caught == [no_knee_warning, (UserWarning, "final embedding")]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_that_dies_in_the_final_embedding_gives_runtime_error(
+        self, workers, redundant, monkeypatch, pin_workers
+    ):
+        # the final embedding is the last task, after folds in the same share
+        cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
+        parent, real = os.getpid(), pipeline.embed
+
+        def dying_embed(z, perplexity, iterations, seed):
+            if os.getpid() != parent and seed == cfg.seed:
+                os._exit(1)
+            return real(z, perplexity, iterations, seed)
+
+        monkeypatch.setattr(pipeline, "embed", dying_embed)
+        pin_workers(workers)
+        with pytest.raises(RuntimeError) as info:
+            select_features(redundant, cfg)
+        assert str(info.value) == (
+            "the worker process of the final embedding exited with status 1 without a result"
+        )
+
+    def test_interrupt_in_this_process_stops_and_reaps_the_children(
+        self, redundant, monkeypatch, pin_workers
+    ):
         cfg = small_cfg(perplexity=12.0, tsne_iterations=120)
         parent, real = os.getpid(), pipeline.embed
 
@@ -390,7 +444,7 @@ class TestFoldWorkers:
             return real(z, perplexity, iterations, seed)
 
         monkeypatch.setattr(pipeline, "embed", interrupted_embed)
-        pin_workers(monkeypatch, 3)
+        pin_workers(3)
         with pytest.raises(KeyboardInterrupt):
             mss_curve_cv(redundant, cfg)
 
