@@ -1,10 +1,20 @@
 """Dataset loading, min-max normalization and deterministic splitting.
 
-CSV input is RFC-4180 style: header row required, UTF-8, '.' decimal
-separator. The label column is picked by name (exact header match wins)
-or by zero-based index. Every non-label cell must parse as a finite real
-number (`nan` and `inf` are rejected); missing-value handling and
-categorical encoding are out of scope.
+CSV input is RFC-4180 style: header row required, UTF-8 (a leading byte
+order mark is dropped), '"' quoting, '.' decimal separator, blank lines
+skipped. The label column is picked by name (exact header match wins) or
+by zero-based index. Every non-label cell must parse as a finite real
+number as Python's float() spells it (`nan` and `inf` are rejected);
+missing-value handling and categorical encoding are out of scope.
+
+load_csv reads the header with csv.reader and the data rows with one
+np.loadtxt call, whose converter turns each label into its
+first-appearance code. Any file that call does not read exactly as the
+reference parser would (a parse error, a row of the wrong width, fewer
+than 2 rows, a non-finite value, or a line holding a character that numpy
+strips around a number and float() does not) is read again by the
+reference parser, a per-cell float() loop over csv.reader rows. It is the
+only path that raises, so every DataError names its data row and column.
 
 Splits take their options as plain arguments: split_train_test a seed
 and a train fraction (default TRAIN_FRACTION), make_folds a fold count
@@ -13,6 +23,7 @@ pipeline.SelectionConfig. Both are deterministic for a fixed seed.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +105,7 @@ def load_csv(path, label_column):
     header-name match takes precedence over index interpretation.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
     with fh:
@@ -108,30 +119,90 @@ def load_csv(path, label_column):
         if len(feature_names) < 2:
             raise DataError("need at least 2 feature columns")
 
-        rows = []
-        labels = []
-        row_numbers = []
-        for data_row, cells in enumerate(reader, start=1):
-            if not cells:
-                continue  # tolerate trailing blank lines
-            if len(cells) != len(header):
+        body = _read_body_numpy(fh, len(header), label_idx)
+        if body is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            body = _read_body_loop(reader, header, label_idx, feature_names)
+    instances, labels = body
+
+    class_ids = list(dict.fromkeys(labels))  # first-appearance order
+    if len(class_ids) < 2:
+        raise DataError("fewer than 2 classes in the label column")
+    return Dataset(
+        instances=instances,
+        labels=np.array(labels, dtype=object),
+        feature_names=feature_names,
+        class_ids=class_ids,
+    )
+
+
+def _read_body_numpy(fh, width, label_idx):
+    """(instances, labels) of the rows left in fh, read by np.loadtxt, or
+    None when the reference loop must read the file: on a parse error, a
+    table that is not `width` cells wide, fewer than 2 rows or a non-finite
+    value. The label converter codes labels in first-appearance order."""
+    codes = {}
+
+    def code(label):
+        return codes.setdefault(label, len(codes))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body; the loop reports it
+            table = np.loadtxt(
+                map(_check_line, fh), delimiter=",", quotechar='"', comments=None,
+                ndmin=2, converters={label_idx: code},
+            )
+    except ValueError:
+        return None
+    if table.shape[0] < 2 or table.shape[1] != width:
+        return None
+    instances = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(instances).all():
+        return None
+    names = np.array(list(codes), dtype=object)
+    return instances, names[table[:, label_idx].astype(np.intp)]
+
+
+def _check_line(line):
+    """The line itself, or ValueError when it holds an ASCII information
+    separator (U+001C..U+001F): numpy strips those around a number as
+    whitespace, float() rejects them."""
+    if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+        raise ValueError("information separator in a data line")
+    return line
+
+
+def _read_body_loop(reader, header, label_idx, feature_names):
+    """The reference parser: float() per cell of every csv.reader row.
+    Returns (instances, labels) or raises a DataError naming the data row
+    (blank lines count) and the column."""
+    rows = []
+    labels = []
+    row_numbers = []
+    for data_row, cells in enumerate(reader, start=1):
+        if not cells:
+            continue  # tolerate trailing blank lines
+        if len(cells) != len(header):
+            raise DataError(
+                f"data row {data_row}: expected {len(header)} cells, got {len(cells)}"
+            )
+        values = []
+        for col, cell in enumerate(cells):
+            if col == label_idx:
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
                 raise DataError(
-                    f"data row {data_row}: expected {len(header)} cells, got {len(cells)}"
-                )
-            values = []
-            for col, cell in enumerate(cells):
-                if col == label_idx:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"cannot parse cell as a number at data row {data_row}, "
-                        f"column '{header[col]}'"
-                    ) from None
-            rows.append(values)
-            labels.append(cells[label_idx])
-            row_numbers.append(data_row)
+                    f"cannot parse cell as a number at data row {data_row}, "
+                    f"column '{header[col]}'"
+                ) from None
+        rows.append(values)
+        labels.append(cells[label_idx])
+        row_numbers.append(data_row)
 
     if len(rows) < 2:
         raise DataError(f"need at least 2 data rows, got {len(rows)}")
@@ -143,15 +214,7 @@ def load_csv(path, label_column):
             f"non-finite value {instances[r, c]} at data row {row_numbers[r]}, "
             f"column '{feature_names[c]}'"
         )
-    class_ids = list(dict.fromkeys(labels))  # first-appearance order
-    if len(class_ids) < 2:
-        raise DataError("fewer than 2 classes in the label column")
-    return Dataset(
-        instances=instances,
-        labels=np.array(labels, dtype=object),
-        feature_names=feature_names,
-        class_ids=class_ids,
-    )
+    return instances, labels
 
 
 def _resolve_label_column(header, label_column):

@@ -55,7 +55,14 @@ def _check_clustering(points, clustering):
 
 
 def silhouette(points, clustering):
-    """Full-pairwise Silhouette; singleton-cluster points score 0."""
+    """Full-pairwise Silhouette; singleton-cluster points score 0.
+
+    Each point's distance sum to a cluster is the row sum of one
+    C-contiguous column block holding the cluster's members in index
+    order, so it adds the same terms in the same order as the sum of the
+    point's masked distance row; a cluster's mean is that sum over its
+    size, as np.mean computes it.
+    """
     pts = _check_clustering(points, clustering)
     m = pts.shape[0]
     k = clustering.k
@@ -63,22 +70,24 @@ def silhouette(points, clustering):
     sizes = clustering.cluster_sizes()
 
     dist = cross(pts, pts)
+    order = np.argsort(assign, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    sums = np.empty((m, k))
+    for h in range(k):
+        block = np.ascontiguousarray(dist[:, order[bounds[h] : bounds[h + 1]]])
+        sums[:, h] = block.sum(axis=1)
 
-    values = np.zeros(m)
-    for i in range(m):
-        h = assign[i]
-        if sizes[h] <= 1:
-            continue  # sole member of its cluster: defined as 0
-        a = dist[i, assign == h].sum() / (sizes[h] - 1)  # excludes self (d=0)
-        b = np.inf
-        for other in range(k):
-            if other == h or sizes[other] == 0:
-                continue
-            b = min(b, dist[i, assign == other].mean())
-        if not np.isfinite(b):
-            continue  # every other cluster empty: boundary value 0
-        denom = max(a, b)
-        values[i] = (b - a) / denom if denom > 0.0 else 0.0
+    rows = np.arange(m)
+    own_size = sizes[assign]
+    a = sums[rows, assign] / np.maximum(own_size - 1, 1)  # excludes self (d=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = np.where(sizes > 0, sums / sizes, np.inf)  # empty clusters never nearest
+        means[rows, assign] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        values = np.where(denom > 0.0, (b - a) / denom, 0.0)
+    # sole member of its cluster, or every other cluster empty: boundary value 0
+    values[(own_size <= 1) | ~np.isfinite(b)] = 0.0
     included = np.ones(m, dtype=bool)
     return IndexReport(values, included, float(values.mean()))
 

@@ -1,6 +1,12 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _datasets import write_csv
+from sepselect import dataio
 from sepselect.dataio import (
     Dataset,
     check_fold_classes,
@@ -63,8 +69,163 @@ class TestLoadCsv:
 
     def test_ragged_row_rejected(self, tmp_path):
         path = _write(tmp_path, "f1,f2,label\n1,2,a\n3,4\n")
-        with pytest.raises(DataError, match="expected 3 cells"):
+        with pytest.raises(DataError, match=r"^data row 2: expected 3 cells, got 2$"):
             load_csv(path, "label")
+
+    def test_extra_trailing_cell_rejected(self, tmp_path):
+        path = _write(tmp_path, "f1,f2,label\n1,2,a\n3,4,b,5\n")
+        with pytest.raises(DataError, match=r"^data row 2: expected 3 cells, got 4$"):
+            load_csv(path, "label")
+
+    def test_every_row_one_cell_wider_than_the_header_rejected(self, tmp_path):
+        path = _write(tmp_path, "f1,f2,label\n1,2,a,0\n3,4,b,5\n")
+        with pytest.raises(DataError, match=r"^data row 1: expected 3 cells, got 4$"):
+            load_csv(path, "label")
+
+    def test_empty_label_cell_is_a_class_of_its_own(self, tmp_path):
+        path = _write(tmp_path, "f1,f2,label\n1,2,a\n3,4,\n5,6,a\n")
+        d = load_csv(path, "label")
+        assert d.class_ids == ["a", ""]
+        assert d.labels.tolist() == ["a", "", "a"]
+        assert d.instances.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_bad_cell_after_a_blank_line_counts_the_blank_line(self, tmp_path):
+        path = _write(tmp_path, "f1,f2,label\n1,2,a\n\n3,x,b\n5,6,a\n")
+        with pytest.raises(
+            DataError, match=r"^cannot parse cell as a number at data row 3, column 'f2'$"
+        ):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufefflabel,a,b\nx,1,2\ny,3,4\n", "\ufeffa,b,label\n1,2,x\n3,4,y\n"],
+        ids=["label_first", "feature_first"],
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        d = load_csv(path, "label")
+        assert d.feature_names == ["a", "b"]
+        assert d.class_ids == ["x", "y"]
+        assert d.instances.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_information_separator_around_a_number_rejected(self, tmp_path):
+        # numpy's reader strips U+001C..U+001F around a number, float() does not
+        path = _write(tmp_path, "f1,f2,label\n1,2,a\n3,4\x1c,b\n")
+        with pytest.raises(
+            DataError, match=r"^cannot parse cell as a number at data row 2, column 'f2'$"
+        ):
+            load_csv(path, "label")
+
+    def test_python_only_spellings_load(self, tmp_path):
+        # underscores and non-ASCII digits: float() reads them, numpy does not
+        path = _write(tmp_path, "f1,f2,label\n1_0,2,a\n\u0661,4,b\n")
+        d = load_csv(path, "label")
+        assert d.instances.tolist() == [[10.0, 2.0], [1.0, 4.0]]
+
+
+def _outcome(path, label_column):
+    """load_csv's Dataset as comparable parts, or its exception's type and
+    message."""
+    try:
+        d = load_csv(path, label_column)
+    except Exception as exc:  # the oracle compares any outcome
+        return type(exc).__name__, str(exc)
+    return (
+        d.instances.shape,
+        d.instances.dtype,
+        d.instances.view(np.int64).tolist(),
+        d.labels.tolist(),
+        d.class_ids,
+        d.feature_names,
+    )
+
+
+def _loop_outcome(path, label_column):
+    """The outcome with the numpy reader switched off: the reference loop."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataio, "_read_body_numpy", lambda *args: None)
+        return _outcome(path, label_column)
+
+
+_NUMBERS = [" 1.5", ".5", "5.", "1E5", "-0", "1e-310", "7 "]
+_ODD_NUMBERS = ["1_0", "\u0661", "nan", "inf", "-inf", "1e500", "", "x", "1\x1c", "\x1f2",
+                '"3"', "1\xa0", "0x1"]
+_LABELS = ["a", "b", "c", '"a"', '""', '"x,y"', " lead", '" lead"', '"q""uote"', 'a"b',
+           '"multi\nline"', '"cr\r\nlf"', "\u00e9"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A header plus data rows whose cells mix float reprs with the
+    spellings where csv.reader + float() and np.loadtxt could part ways:
+    Python-only number spellings, non-finite values, quoted and multi-line
+    labels, blank lines, CRLF endings and rows with a cell too many or too
+    few."""
+    m = draw(st.integers(2, 4))
+    label_pos = draw(st.integers(0, m))
+    n = draw(st.integers(0, 7))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(_NUMBERS),
+    )
+    rows = []
+    for _ in range(n):
+        cells = [draw(number) for _ in range(m)]
+        cells.insert(label_pos, draw(st.sampled_from(_LABELS)))
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 2))):  # at most two odd cells
+        if rows:
+            r = draw(st.integers(0, n - 1))
+            c = draw(st.sampled_from([j for j in range(m + 1) if j != label_pos]))
+            rows[r][c] = draw(st.sampled_from(_ODD_NUMBERS))
+    lines = [",".join(cells) for cells in rows]
+    if lines and draw(st.integers(0, 2)) == 0:  # one row a cell too many or too few
+        r = draw(st.integers(0, n - 1))
+        lines[r] = lines[r] + ",5" if draw(st.booleans()) else lines[r].rsplit(",", 1)[0]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    header = [f"f{j}" for j in range(m)]
+    header.insert(label_pos, "label")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(header)] + lines)
+    if draw(st.booleans()):
+        text += end
+    return text
+
+
+@pytest.fixture(scope="module")
+def scratch_csv():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield f"{tmp}/oracle.csv"
+
+
+class TestLoaderMatchesLoop:
+    """The numpy read path gives the reference loop's Dataset, bit for bit,
+    or the loop's exact error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_same_dataset_or_same_error(self, text, scratch_csv):
+        with open(scratch_csv, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(scratch_csv, "label") == _loop_outcome(scratch_csv, "label")
+
+    def test_wide_csv_never_enters_the_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        labels = np.array([f"c{i}" for i in rng.integers(0, 12, 720)], dtype=object)
+        x = rng.normal(size=(720, 203)) * rng.uniform(0.1, 100.0, 203)
+        names = [f"f{j}" for j in range(203)]
+        path = str(tmp_path / "wide.csv")
+        write_csv(path, Dataset(x, labels, names, list(dict.fromkeys(labels))))
+
+        def loop_entered(*args):
+            raise AssertionError("the reference loop read a plain numeric CSV")
+
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_read_body_loop", loop_entered)
+            fast = _outcome(path, "label")
+        assert fast[0] == (720, 203)
+        assert fast == _loop_outcome(path, "label")
 
 
 def _dataset(columns, labels):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepselect.distances import cross
 from sepselect.errors import DataError
 from sepselect.kmedoids import ClusteringResult, pam_cluster
 from sepselect.validity import DistanceCounter, mss, silhouette, simplified_silhouette
@@ -34,6 +37,67 @@ def oracle_silhouette(points, assignment):
         )
         values.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
     return values
+
+
+def loop_silhouette(points, clustering):
+    """Silhouette as a loop over points and clusters, summing each masked
+    distance row: the bitwise reference of silhouette's column-block sums."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    m = pts.shape[0]
+    assign = clustering.assignment
+    sizes = clustering.cluster_sizes()
+    dist = cross(pts, pts)
+    values = np.zeros(m)
+    for i in range(m):
+        h = assign[i]
+        if sizes[h] <= 1:
+            continue
+        a = dist[i, assign == h].sum() / (sizes[h] - 1)
+        b = np.inf
+        for other in range(clustering.k):
+            if other == h or sizes[other] == 0:
+                continue
+            b = min(b, dist[i, assign == other].mean())
+        if not np.isfinite(b):
+            continue
+        denom = max(a, b)
+        values[i] = (b - a) / denom if denom > 0.0 else 0.0
+    return values, float(values.mean())
+
+
+@st.composite
+def labelled_clouds(draw):
+    """Points with an arbitrary assignment to k clusters: some clusters may
+    be empty or singletons, and grid points give coincident points and
+    ties. Sizes up to 300 reach numpy's 8-way and 128-element pairwise
+    summation blocks."""
+    m = draw(st.integers(2, 300))
+    k = draw(st.integers(2, min(m, 12)))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.normal(size=(m, dim)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    else:
+        pts = rng.integers(0, 3, size=(m, dim)).astype(float)
+    used = draw(st.integers(1, k))  # clusters at or above `used` stay empty
+    assignment = rng.integers(0, used, size=m)
+    if draw(st.booleans()):
+        assignment = np.sort(assignment)
+    return pts, clustering(np.arange(k), assignment)
+
+
+class TestSilhouetteMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=labelled_clouds())
+    def test_per_point_and_aggregate_bitwise(self, problem):
+        pts, cl = problem
+        values, aggregate = loop_silhouette(pts, cl)
+        report = silhouette(pts, cl)
+        assert report.per_point.view(np.int64).tolist() == values.view(np.int64).tolist()
+        assert np.float64(report.aggregate).view(np.int64) == np.float64(aggregate).view(np.int64)
+        assert report.included.all()
 
 
 class TestSilhouette:
