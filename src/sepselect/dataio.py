@@ -14,15 +14,22 @@ reference parser would (a parse error, a row of the wrong width, fewer
 than 2 rows, a non-finite value, or a line holding a character that numpy
 strips around a number and float() does not) is read again by the
 reference parser, a per-cell float() loop over csv.reader rows. It is the
-only path that raises, so every DataError names its data row and column.
+only path that raises, so every DataError names its data row and column,
+or for a row csv.reader rejects (a cell over csv.field_size_limit()) the
+row and the reader's reason. A file that is not UTF-8 is a DataError
+naming the first byte that does not decode.
 
 Splits take their options as plain arguments: split_train_test a seed
 and a train fraction (default TRAIN_FRACTION), make_folds a fold count
 and a seed. The selection's fold count and seed default in
 pipeline.SelectionConfig. Both are deterministic for a fixed seed.
+split_train_test returns two Datasets; make_folds returns sorted
+row-index arrays, so its caller copies a fold part's rows (select_rows)
+only where and when it needs them.
 """
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -108,23 +115,30 @@ def load_csv(path, label_column):
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise DataError(f"input file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file (no header row): {path}") from None
-        label_idx = _resolve_label_column(header, label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-        if len(feature_names) < 2:
-            raise DataError("need at least 2 feature columns")
-
-        body = _read_body_numpy(fh, len(header), label_idx)
-        if body is None:
-            fh.seek(0)
+    try:
+        with fh:
             reader = csv.reader(fh)
-            next(reader)
-            body = _read_body_loop(reader, header, label_idx, feature_names)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"empty file (no header row): {path}") from None
+            except csv.Error as exc:
+                raise DataError(f"header row: {exc}") from None
+            label_idx = _resolve_label_column(header, label_column)
+            feature_names = [h for i, h in enumerate(header) if i != label_idx]
+            if len(feature_names) < 2:
+                raise DataError("need at least 2 feature columns")
+
+            body = _read_body_numpy(fh, len(header), label_idx)
+            if body is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                body = _read_body_loop(reader, header, label_idx, feature_names)
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"file is not UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded: {path}"
+        ) from None
     instances, labels = body
 
     class_ids = list(dict.fromkeys(labels))  # first-appearance order
@@ -178,11 +192,18 @@ def _check_line(line):
 def _read_body_loop(reader, header, label_idx, feature_names):
     """The reference parser: float() per cell of every csv.reader row.
     Returns (instances, labels) or raises a DataError naming the data row
-    (blank lines count) and the column."""
+    (blank lines count) and, for a cell that is no finite number, the
+    column; a row csv.reader cannot read gets its csv.Error message."""
     rows = []
     labels = []
     row_numbers = []
-    for data_row, cells in enumerate(reader, start=1):
+    for data_row in itertools.count(1):
+        try:
+            cells = next(reader, None)
+        except csv.Error as exc:  # for example a cell over csv.field_size_limit()
+            raise DataError(f"data row {data_row}: {exc}") from None
+        if cells is None:
+            break
         if not cells:
             continue  # tolerate trailing blank lines
         if len(cells) != len(header):
@@ -267,10 +288,13 @@ def split_train_test(d, seed, train_fraction=TRAIN_FRACTION):
 
 
 def make_folds(d, fold_count, seed):
-    """fold_count (train_part, validation_part) pairs.
+    """fold_count (train_idx, val_idx) pairs of sorted row-index arrays
+    into d.
 
-    Validation parts are disjoint and cover the dataset; identical seeds
-    reproduce bit-identical index sets.
+    Validation parts are disjoint and cover range(N); each train part is
+    the sorted complement of its validation part. Identical seeds
+    reproduce identical index sets. The rows are not copied: a caller
+    takes d.select_rows(idx) where it needs a part's rows.
     """
     require_integer("fold_count", fold_count, 2)
     require_integer("seed", seed, 0)
@@ -283,25 +307,26 @@ def make_folds(d, fold_count, seed):
     for i, chunk in enumerate(chunks):
         val_idx = np.sort(chunk)
         train_idx = np.sort(np.concatenate([c for j, c in enumerate(chunks) if j != i]))
-        folds.append((d.select_rows(train_idx), d.select_rows(val_idx)))
+        folds.append((train_idx, val_idx))
     return folds
 
 
 def check_fold_classes(d, folds):
     """Raise DataError unless every class of d has samples in both parts of
-    every fold: the separability matrix of a part needs every class.
+    every fold of make_folds(d, ...): the separability matrix of a part
+    needs every class.
 
     Folds are not stratified, so a class with few samples can miss a part.
     """
-    sizes = np.bincount(d.label_codes(), minlength=d.n_classes)
-    counts = dict(zip(d.class_ids, sizes.tolist()))
+    codes = d.label_codes()
+    sizes = np.bincount(codes, minlength=d.n_classes)
     for i, parts in enumerate(folds):
-        for part_name, part in zip(("train", "validation"), parts):
-            present = set(part.labels.tolist())
-            for c in d.class_ids:
-                if c not in present:
+        for part_name, idx in zip(("train", "validation"), parts):
+            present = np.bincount(codes[idx], minlength=d.n_classes)
+            for c, size, count in zip(d.class_ids, sizes.tolist(), present.tolist()):
+                if count == 0:
                     raise DataError(
-                        f"class '{c}' has {counts[c]} samples, none of them in the "
+                        f"class '{c}' has {size} samples, none of them in the "
                         f"{part_name} part of fold {i} (fold_count={len(folds)}); "
                         "every class needs samples in both parts of every fold"
                     )

@@ -19,7 +19,11 @@ so an alternative reading is a one-function change.
 Workers: the folds and the final embedding of the whole training set
 do not depend on each other or on the knee, so select_features hands all
 fold_count + 1 of them to forkmap.run_tasks as one list of tasks, and
-mss_curve_cv hands it the folds alone. run_tasks runs them on one process
+mss_curve_cv hands it the folds alone. A fold's task holds the training
+set and its two row-index arrays from make_folds, and copies each part's
+rows only while it builds that part's separability array, in the process
+that runs it: the calling process keeps no fold copies of the training
+rows while the tasks run. run_tasks runs them on one process
 per usable CPU, at most one per task: task t in worker t mod workers,
 worker 0 being the calling process (see forkmap.py). Each outcome is
 settled where a serial loop would have run its task: the folds in fold
@@ -152,7 +156,10 @@ def _fold_tasks(train, cfg):
 
     folds = make_folds(train, cfg.fold_count, cfg.seed)
     check_fold_classes(train, folds)
-    tasks = [partial(_fold_values, tr, val, cfg, f, k_hi) for f, (tr, val) in enumerate(folds)]
+    tasks = [
+        partial(_fold_values, train, tr_idx, val_idx, cfg, f, k_hi)
+        for f, (tr_idx, val_idx) in enumerate(folds)
+    ]
     return ks, tasks
 
 
@@ -169,12 +176,14 @@ def _curve(ks, outcomes):
     return MSSCurve(ks=ks, fold_values=fold_values, averaged=averaged)
 
 
-def _fold_values(tr_part, val_part, cfg, f, k_hi):
-    """Validity values of fold f at k = 2..k_hi: the train part's embedding
-    (seed base + 1 + f) clustered by one pam_sweep, each k's medoid
-    features scored on the validation part."""
-    z_tr = build_feature_space(tr_part)
-    z_val = build_feature_space(val_part)
+def _fold_values(train, tr_idx, val_idx, cfg, f, k_hi):
+    """Validity values of fold f at k = 2..k_hi: the embedding of the train
+    part's rows tr_idx (seed base + 1 + f) clustered by one pam_sweep, each
+    k's medoid features scored on the validation part's rows val_idx. Each
+    part's rows are copied here, in the task, and dropped once its
+    separability array is built."""
+    z_tr = build_feature_space(train.select_rows(tr_idx))
+    z_val = build_feature_space(train.select_rows(val_idx))
     d_val = cross(z_val, z_val)
     coords = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
     return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(coords, k_hi)])

@@ -88,6 +88,23 @@ class TestSelect:
         assert code == 2
         assert "/nope/missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"f1,f2,label\n1,2,caf\xe9\n3,4,b\n", "file is not UTF-8: byte 0xe9 cannot be decoded"),
+            (
+                b"f1,f2,label\n1,2,a\n1_0,4," + b"x" * 140000 + b"\n5,6,b\n",
+                "data row 2: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["latin1_byte", "cell_over_field_limit"],
+    )
+    def test_unreadable_csv_exits_2_with_data_error(self, tmp_path, capsys, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        assert main(_select_args(str(path), str(tmp_path / "out"))) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_env_output_dir_honored(self, csv_path, tmp_path, monkeypatch):
         envdir = str(tmp_path / "from-env")
         monkeypatch.setenv("SEPSELECT_OUTPUT_DIR", envdir)

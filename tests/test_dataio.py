@@ -122,6 +122,38 @@ class TestLoadCsv:
         d = load_csv(path, "label")
         assert d.instances.tolist() == [[10.0, 2.0], [1.0, 4.0]]
 
+    def test_cell_over_the_csv_field_limit_names_its_row(self, tmp_path):
+        # the `1_0` cell sends the file to the reference loop, whose
+        # csv.reader rejects the long label
+        path = _write(tmp_path, f"f1,f2,label\n1,2,a\n1_0,4,{'x' * 140000}\n5,6,b\n")
+        with pytest.raises(
+            DataError, match=r"^data row 2: field larger than field limit \(131072\)$"
+        ):
+            load_csv(path, "label")
+
+    def test_long_label_loads_through_numpy(self, tmp_path, monkeypatch):
+        label = "x" * 140000
+        path = _write(tmp_path, f"f1,f2,label\n1,2,a\n3,4,{label}\n5,6,b\n")
+
+        def loop_entered(*args):
+            raise AssertionError("the reference loop read a plain numeric CSV")
+
+        monkeypatch.setattr(dataio, "_read_body_loop", loop_entered)
+        d = load_csv(path, "label")
+        assert d.class_ids == ["a", label, "b"]
+        assert d.instances.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"f1,f\xe92,label\n1,2,a\n3,4,b\n", b"f1,f2,label\n1,2,caf\xe9\n3,4,b\n"],
+        ids=["header", "data"],
+    )
+    def test_non_utf8_byte_is_named(self, tmp_path, text):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=r"^file is not UTF-8: byte 0xe9 cannot be decoded: "):
+            load_csv(str(path), "label")
+
 
 def _outcome(path, label_column):
     """load_csv's Dataset as comparable parts, or its exception's type and
@@ -297,18 +329,35 @@ class TestSplit:
             split_train_test(d, 0, train_fraction=0.99)
 
 
+# make_folds(_big(10), 3, 5): (train_idx, val_idx) per fold
+_PINNED_FOLDS = [
+    ([0, 2, 4, 5, 8, 9], [1, 3, 6, 7]),
+    ([1, 3, 5, 6, 7, 8, 9], [0, 2, 4]),
+    ([0, 1, 2, 3, 4, 6, 7], [5, 8, 9]),
+]
+
+
 class TestFolds:
     def test_sizes_and_coverage(self):
-        d = _big(10)
-        d.instances[:, 0] = np.arange(10)
-        folds = make_folds(d, 5, 2)
+        folds = make_folds(_big(10), 5, 2)
         assert len(folds) == 5
-        val_ids = []
-        for train, val in folds:
-            assert val.n_instances == 2
-            assert train.n_instances == 8  # 80% of the rows
-            val_ids.extend(val.instances[:, 0].tolist())
-        assert sorted(val_ids) == list(range(10))
+        for train_idx, val_idx in folds:
+            assert len(val_idx) == 2
+            assert len(train_idx) == 8  # 80% of the rows
+        val_ids = np.concatenate([val_idx for _, val_idx in folds])
+        assert sorted(val_ids.tolist()) == list(range(10))  # disjoint and covering
+
+    def test_parts_are_sorted_and_train_is_the_complement(self):
+        n = 22  # 4 parts of 6, 6, 5 and 5 rows
+        for train_idx, val_idx in make_folds(_big(n), 4, 8):
+            assert train_idx.dtype.kind == val_idx.dtype.kind == "i"
+            assert np.array_equal(val_idx, np.sort(val_idx))
+            assert np.array_equal(train_idx, np.setdiff1d(np.arange(n), val_idx))
+
+    def test_index_sets_pinned(self):
+        # the permutation of default_rng(5) split by np.array_split
+        folds = make_folds(_big(10), 3, 5)
+        assert [(t.tolist(), v.tolist()) for t, v in folds] == _PINNED_FOLDS
 
     def test_too_many_folds(self):
         with pytest.raises(DataError, match="exceeds instance count"):
@@ -319,8 +368,8 @@ class TestFolds:
         f1 = make_folds(d, 5, 5)
         f2 = make_folds(d, 5, 5)
         for (a, b), (c, e) in zip(f1, f2):
-            assert np.array_equal(a.instances, c.instances)
-            assert np.array_equal(b.instances, e.instances)
+            assert np.array_equal(a, c)
+            assert np.array_equal(b, e)
 
 
 def _rare_class(n=60, rare=3, seed=0):
@@ -350,7 +399,7 @@ class TestFoldClasses:
         # 0's train part has none
         d = _rare_class(rare=1)
         folds = make_folds(d, 2, 3)
-        assert "r" in folds[0][1].labels.tolist()
+        assert "r" in d.labels[folds[0][1]].tolist()
         with pytest.raises(
             DataError,
             match=r"class 'r' has 1 samples, none of them in the train part "

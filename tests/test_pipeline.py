@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,23 @@ class TestMssCurve:
         cfg = small_cfg(perplexity=12.0, tsne_iterations=100, k_max=8)
         curve = mss_curve_cv(redundant, cfg)
         assert curve.ks.tolist() == list(range(2, 9))
+
+    def test_fold_tasks_copy_no_training_rows(self):
+        # the tasks hold the training set and row indices; a fold's rows are
+        # copied only inside its task, so five fold copies (5x the matrix)
+        # cannot come back unnoticed
+        train, _ = redundant_groups(
+            n_instances=720, n_classes=12, group_sizes=[7] * 29, seed=6
+        )
+        assert train.instances.shape == (720, 203)
+        tracemalloc.start()
+        try:
+            _, tasks = pipeline._fold_tasks(train, small_cfg(perplexity=30.0, k_max=12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tasks) == 5
+        assert peak < 0.1 * train.instances.nbytes
 
 
 class TestSelectFeatures:
