@@ -1,14 +1,15 @@
 """Golden SHA-256 digests of the CLI's artifacts on small seeded datasets.
 
 tests/data/cli_golden.json holds, per command, the digest of every
-artifact it writes: report.txt, curve.csv, embedding.csv and indices.csv
-from `select --index-curves`, embedding.csv and z.csv from
-`embed-only --export-z`, subset.csv from `baseline`, and compare.txt from
-`compare` up to its wall-clock section, `prediction timing`. The t-SNE runs
-go past iteration 250, so both the early-exaggeration and the momentum
-switch shape the embeddings. `compare` reads a noisier draw of the same
-population, so its accuracies are not all 1. Refactoring the configuration or the
-writers must reproduce every digest.
+artifact it writes: report.txt, curve.csv, embedding.csv, indices.csv and
+the three SVG charts from `select --index-curves --plots`, embedding.csv
+and z.csv from `embed-only --export-z`, subset.csv from `baseline`, and
+compare.txt from `compare` up to its wall-clock section, `prediction
+timing`. The t-SNE runs go past iteration 250, so both the
+early-exaggeration and the momentum switch shape the embeddings. `compare`
+reads a noisier draw of the same population, so its accuracies are not
+all 1. Refactoring the configuration, the writers or the charts must
+reproduce every digest.
 
 The input path is echoed into report.txt, so the runs read each CSV by a
 relative path from their working directory. Regenerate only on a
@@ -38,8 +39,9 @@ _TSNE = ["--perplexity", "4", "--tsne-iterations", "300"]
 # name -> (argv without --output-dir, artifacts written to the output directory)
 RUNS = {
     "select": (
-        ["select", *_COMMON, *_TSNE, "--folds", "4", "--index-curves"],
-        ("report.txt", "curve.csv", "embedding.csv", "indices.csv"),
+        ["select", *_COMMON, *_TSNE, "--folds", "4", "--index-curves", "--plots"],
+        ("report.txt", "curve.csv", "embedding.csv", "indices.csv",
+         "curve.svg", "embedding.svg", "indices.svg"),
     ),
     "embed-only": (
         ["embed-only", *_COMMON, *_TSNE, "--export-z"],
