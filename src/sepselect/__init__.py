@@ -23,7 +23,7 @@ from .pipeline import (
     select_at_k,
     select_features,
 )
-from .separability import ClassStats, build_feature_space, class_stats, jm_matrix
+from .separability import build_feature_space, class_stats
 from .tsne import (
     conditional_affinities,
     embed,
@@ -36,7 +36,6 @@ from .validity import DistanceCounter, IndexReport, mss, silhouette, simplified_
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassStats",
     "ClusteringResult",
     "Curve",
     "DataError",
@@ -61,7 +60,6 @@ __all__ = [
     "evaluate",
     "fisher_scores",
     "index_curves",
-    "jm_matrix",
     "kl_divergence",
     "kmeanspp_init",
     "kneedle",

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import DataError, NumericalError
 from .forkmap import run_tasks, settle
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
 from .separability import build_feature_space, pair_column_names
-from .svgplot import LineChart, ScatterChart
+from .svgplot import Chart
 from .tsne import embed
 
 EXIT_OK = 0
@@ -39,17 +39,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _BASELINES = ("relieff", "fisher", "cfs", "random")
-
-
-@dataclass
-class RunConfig:
-    """Everything one run needs; echoed into the report for reproducibility."""
-
-    input_path: str
-    label_column: str
-    selection: SelectionConfig
-    n_neighbors: int
-    output_dir: str
 
 
 class _UsageError(Exception):
@@ -94,12 +83,16 @@ def build_parser():
             selection("--k-max", "k_max", int, "cap the clustering sweep")
             selection("--knee-sensitivity", "knee_sensitivity", float)
             selection("--smoothing-window", "smoothing_window", int)
+
+    def neighbors(p):
+        # compare and evaluate classify with it; select echoes it into report.txt
         p.add_argument(
             "--neighbors", type=int, default=DEFAULT_NEIGHBORS, help="KNN neighbor count"
         )
 
     p_select = sub.add_parser("select", help="run the full selection pipeline")
     common(p_select)
+    neighbors(p_select)
     p_select.add_argument("--plots", action="store_true", help="emit SVG charts")
     p_select.add_argument(
         "--index-curves",
@@ -112,6 +105,7 @@ def build_parser():
         "compare", help="selection vs baseline filters at the same subset size"
     )
     common(p_compare)
+    neighbors(p_compare)
     p_compare.add_argument("--repetitions", type=int, default=10)
     p_compare.add_argument("--relieff-neighbors", type=int, default=DEFAULT_RELIEFF_NEIGHBORS)
     p_compare.set_defaults(func=cmd_compare)
@@ -125,6 +119,7 @@ def build_parser():
 
     p_eval = sub.add_parser("evaluate", help="KNN-evaluate a feature subset")
     common(p_eval, with_selection=False)
+    neighbors(p_eval)
     p_eval.add_argument(
         "--features",
         required=True,
@@ -165,24 +160,21 @@ def main(argv=None):
     return EXIT_OK
 
 
-def _run_config(args):
+def _selection(args):
+    """The SelectionConfig of the options given, defaults for the rest.
+    Every command builds it first, so --seed is checked the same way in all."""
     given = {f.name: getattr(args, f.name) for f in fields(SelectionConfig) if f.name in args}
-    return RunConfig(
-        input_path=args.input,
-        label_column=args.label,
-        selection=SelectionConfig(**given),
-        n_neighbors=args.neighbors,
-        output_dir=args.output_dir if args.output_dir is not None else _env_output_dir(),
-    )
+    return SelectionConfig(**given)
 
 
-def _load_normalized(cfg):
-    return minmax_normalize(load_csv(cfg.input_path, cfg.label_column))
+def _load_normalized(args):
+    return minmax_normalize(load_csv(args.input, args.label))
 
 
-def _outdir(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
+def _outdir(args):
+    outdir = args.output_dir if args.output_dir is not None else _env_output_dir()
+    os.makedirs(outdir, exist_ok=True)
+    return outdir
 
 
 def _write(path, text):
@@ -196,26 +188,26 @@ def _write_table(path, header, rows):
     _write(path, "\n".join(lines) + "\n")
 
 
-def _config_echo(cfg):
-    lines = ["config:", f"  input: {cfg.input_path}", f"  label_column: {cfg.label_column}"]
+def _config_echo(args, sel):
+    lines = ["config:", f"  input: {args.input}", f"  label_column: {args.label}"]
     for f in fields(SelectionConfig):
-        value = getattr(cfg.selection, f.name)
+        value = getattr(sel, f.name)
         lines.append(f"  {f.name}: {'none' if value is None else repr(value)}")
-    lines.append(f"  n_neighbors: {cfg.n_neighbors}")
+    lines.append(f"  n_neighbors: {args.neighbors}")
     return lines
 
 
 def cmd_select(args):
-    cfg = _run_config(args)
-    data = _load_normalized(cfg)
-    outdir = _outdir(cfg)
+    sel = _selection(args)
+    data = _load_normalized(args)
+    outdir = _outdir(args)
 
     t0 = time.perf_counter()
-    result = select_features(data, cfg.selection)
+    result = select_features(data, sel)
     select_seconds = time.perf_counter() - t0
 
     lines = ["selection report", "================", ""]
-    lines.extend(_config_echo(cfg))
+    lines.extend(_config_echo(args, sel))
     lines += [
         "",
         "result:",
@@ -253,7 +245,7 @@ def cmd_select(args):
             _float_rows(ks, values),
         )
         if args.plots:
-            chart = LineChart(title="validity indices", x_label="k", y_label="index")
+            chart = Chart(title="validity indices", x_label="k", y_label="index")
             chart.add_series(ks, curves.silhouette, label="silhouette")
             chart.add_series(ks, curves.simplified, label="simplified")
             chart.add_series(ks, curves.mean_simplified, label="mean simplified")
@@ -261,13 +253,13 @@ def cmd_select(args):
             chart.save(os.path.join(outdir, "indices.svg"))
 
     if args.plots:
-        chart = LineChart(title="averaged validity curve", x_label="k", y_label="index")
+        chart = Chart(title="averaged validity curve", x_label="k", y_label="index")
         chart.add_series(result.curve.ks, result.curve.averaged, label="mean simplified")
         chart.add_vline(result.k_min, label=f"k={result.k_min}")
         chart.save(os.path.join(outdir, "curve.svg"))
 
         coords = result.embedding
-        scatter = ScatterChart(title="feature embedding")
+        scatter = Chart(title="feature embedding", width=620, height=620)
         mask = np.zeros(len(coords), dtype=bool)
         mask[result.selected_features] = True
         scatter.add_points(coords[~mask, 0], coords[~mask, 1], label="features")
@@ -305,15 +297,14 @@ def _baseline_subset(method, train, k, seed, relieff_neighbors):
 
 
 def cmd_baseline(args):
-    cfg = _run_config(args)
-    data = _load_normalized(cfg)
-    seed = cfg.selection.seed
+    seed = _selection(args).seed
+    data = _load_normalized(args)
     subset = _baseline_subset(args.method, data, args.k, seed, args.relieff_neighbors)
-    print(f"# method={args.method} k={args.k} seed={seed} input={cfg.input_path}")
+    print(f"# method={args.method} k={args.k} seed={seed} input={args.input}")
     for j in subset:
         print(f"{j},{data.feature_names[j]}")
     if args.output_dir is not None:
-        outdir = _outdir(cfg)
+        outdir = _outdir(args)
         rows = [(j, data.feature_names[j]) for j in subset]
         _write_table(os.path.join(outdir, "subset.csv"), ["index", "feature"], rows)
     return EXIT_OK
@@ -329,26 +320,29 @@ def _parse_features(spec_text, data):
         if not token:
             continue
         if token in name_lut:
-            subset.append(name_lut[token])
+            j = name_lut[token]
         else:
             try:
-                subset.append(int(token))
+                j = int(token)
             except ValueError:
                 raise DataError(f"unknown feature '{token}'") from None
+        if j in subset:
+            raise DataError(f"feature {j} is listed more than once")
+        subset.append(j)
     if not subset:
         raise DataError("empty feature list")
     return subset
 
 
 def cmd_evaluate(args):
-    cfg = _run_config(args)
-    data = _load_normalized(cfg)
+    seed = _selection(args).seed
+    data = _load_normalized(args)
     subset = _parse_features(args.features, data)
-    train, test = split_train_test(data, cfg.selection.seed, args.train_fraction)
-    report = evaluate(train, test, subset, n_neighbors=cfg.n_neighbors)
+    train, test = split_train_test(data, seed, args.train_fraction)
+    report = evaluate(train, test, subset, n_neighbors=args.neighbors)
     print(
-        f"# input={cfg.input_path} seed={cfg.selection.seed} "
-        f"train_fraction={args.train_fraction} neighbors={cfg.n_neighbors} "
+        f"# input={args.input} seed={seed} "
+        f"train_fraction={args.train_fraction} neighbors={args.neighbors} "
         f"features={args.features}"
     )
     print(f"subset size: {len(subset)}")
@@ -359,18 +353,17 @@ def cmd_evaluate(args):
 
 
 def cmd_embed_only(args):
-    cfg = _run_config(args)
-    data = _load_normalized(cfg)
-    outdir = _outdir(cfg)
+    sel = _selection(args)
+    data = _load_normalized(args)
+    outdir = _outdir(args)
     z = build_feature_space(data)
-    sel = cfg.selection
     coords = embed(z, sel.perplexity, sel.tsne_iterations, sel.seed)
     _write_embedding_csv(os.path.join(outdir, "embedding.csv"), data.feature_names, coords)
     if args.export_z:
         header = ["feature"] + pair_column_names(data.class_ids)
         _write_table(os.path.join(outdir, "z.csv"), header, _float_rows(data.feature_names, z))
     print(
-        f"# input={cfg.input_path} seed={sel.seed} perplexity={sel.perplexity} "
+        f"# input={args.input} seed={sel.seed} perplexity={sel.perplexity} "
         f"tsne_iterations={sel.tsne_iterations}"
     )
     print(f"embedding written to {outdir}")
@@ -378,43 +371,42 @@ def cmd_embed_only(args):
 
 
 def cmd_compare(args):
-    cfg = _run_config(args)
-    data = _load_normalized(cfg)
+    sel = _selection(args)
+    data = _load_normalized(args)
     reps = args.repetitions
     if reps < 1:
         raise DataError("repetitions must be >= 1")
-    sel_cfg = cfg.selection
-    train0, test0 = split_train_test(data, sel_cfg.seed)
+    train0, test0 = split_train_test(data, sel.seed)
     # bad neighbor counts fail here, not after the selection's folds; every
     # split has as many training rows as the first, but its own class sizes
-    check_neighbors(cfg.n_neighbors, train0.n_instances)
+    check_neighbors(args.neighbors, train0.n_instances)
     for r in range(reps):
-        train = train0 if r == 0 else split_train_test(data, sel_cfg.seed + r)[0]
+        train = train0 if r == 0 else split_train_test(data, sel.seed + r)[0]
         check_relieff_neighbors(train, args.relieff_neighbors)
-    outdir = _outdir(cfg)
+    outdir = _outdir(args)
 
     # k_min from a full CV selection on the first repetition's training split
-    result = select_features(train0, sel_cfg)
+    result = select_features(train0, sel)
     k_min = result.k_min
     methods = ("sepselect",) + _BASELINES
 
     def repetition(r):
         """(accuracy, balanced F) per method, and the predict seconds of
         the selected subset and of all features, on repetition r's split."""
-        rep_seed = sel_cfg.seed + r
+        rep_seed = sel.seed + r
         if r == 0:
             # same split, seed and k as the selection's final clustering
             train, test, selected = train0, test0, result.selected_features
         else:
             train, test = split_train_test(data, rep_seed)
-            _, clustering = select_at_k(train, k_min, replace(sel_cfg, seed=rep_seed))
+            _, clustering = select_at_k(train, k_min, replace(sel, seed=rep_seed))
             selected = clustering.medoids.tolist()
         subsets = {"sepselect": selected}
         for m in _BASELINES:
             subsets[m] = _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
-        reports = [evaluate(train, test, subsets[m], n_neighbors=cfg.n_neighbors) for m in methods]
+        reports = [evaluate(train, test, subsets[m], n_neighbors=args.neighbors) for m in methods]
         full = evaluate(
-            train, test, list(range(data.n_features)), n_neighbors=cfg.n_neighbors
+            train, test, list(range(data.n_features)), n_neighbors=args.neighbors
         )
         scores = [(report.accuracy, report.balanced_f) for report in reports]
         return scores, reports[0].predict_time, full.predict_time
@@ -438,7 +430,7 @@ def cmd_compare(args):
     saving = 1.0 - t_subset / t_all if t_all > 0 else 0.0
 
     lines = [f"method comparison (k_min={k_min}, repetitions={reps})", ""]
-    lines.extend(_config_echo(cfg))
+    lines.extend(_config_echo(args, sel))
     lines += [
         f"  repetitions: {reps}",
         f"  relieff_neighbors: {args.relieff_neighbors}",

@@ -87,10 +87,7 @@ def kmeanspp_init(points, k, seed):
         if not np.isfinite(total):
             raise NumericalError("non-finite coordinates or overflowing squared distances")
         if total > 0.0:
-            # the draw of Generator.choice(m, p=d2 / total), without its checks
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            nxt = int(cdf.searchsorted(rng.random(), side="right"))
+            nxt = int(rng.choice(m, p=d2 / total))
         else:
             # every remaining point coincides with a chosen center
             remaining = np.setdiff1d(np.arange(m), chosen)

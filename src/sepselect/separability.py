@@ -15,8 +15,6 @@ feature's row depends only on that feature's statistics), so results are
 order-deterministic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
@@ -26,16 +24,9 @@ from .errors import DataError
 VAR_FLOOR = 1e-10
 
 
-@dataclass
-class ClassStats:
-    """Per-feature, per-class mean and biased variance (clamped below)."""
-
-    mean: np.ndarray      # (M, C)
-    variance: np.ndarray  # (M, C), every entry >= VAR_FLOOR
-
-
 def class_stats(d):
-    """Class-conditional mean and clamped biased variance for every feature."""
+    """(mean, variance): the (M, C) class-conditional means and biased
+    variances of every feature, each variance clamped to >= VAR_FLOOR."""
     codes = d.label_codes()
     m, c = d.n_features, d.n_classes
     mean = np.empty((m, c))
@@ -47,11 +38,11 @@ def class_stats(d):
         sub = d.instances[mask]
         mean[:, ci] = sub.mean(axis=0)
         var[:, ci] = sub.var(axis=0)  # biased (divide by class count)
-    return ClassStats(mean=mean, variance=np.maximum(var, VAR_FLOOR))
+    return mean, np.maximum(var, VAR_FLOOR)
 
 
 def _jm_from_stats(mean, variance):
-    # mean, variance: (..., C); returns (..., C, C)
+    # mean, variance: (M, C); returns (M, C, C)
     mu_a = mean[..., :, None]
     mu_b = mean[..., None, :]
     s2_a = variance[..., :, None]
@@ -67,18 +58,11 @@ def _jm_from_stats(mean, variance):
     return jm
 
 
-def jm_matrix(stats, feature):
-    """Symmetric C x C JM matrix for one feature; zero diagonal, entries in [0, 2)."""
-    if not 0 <= feature < stats.mean.shape[0]:
-        raise DataError(f"feature index {feature} out of range")
-    return _jm_from_stats(stats.mean[feature], stats.variance[feature])
-
-
 def build_feature_space(d):
     """The (M, C^2) feature-space array: row i is feature i's JM matrix
-    reshaped row-major."""
-    stats = class_stats(d)
-    jm = _jm_from_stats(stats.mean, stats.variance)  # (M, C, C)
+    reshaped row-major; each JM matrix is symmetric, with a zero diagonal
+    and entries in [0, 2]."""
+    jm = _jm_from_stats(*class_stats(d))  # (M, C, C)
     m, c = d.n_features, d.n_classes
     return jm.reshape(m, c * c)
 

@@ -1,4 +1,5 @@
-"""Minimal dependency-free SVG charts: polyline curves and scatter plots.
+"""Minimal dependency-free SVG charts: polyline curves and scatter plots,
+both drawn by one Chart.
 
 Plots are artifacts (written once per run), not an interactive UI, so the
 feature set is intentionally tiny: axes with tick labels, line series,
@@ -45,11 +46,14 @@ def _ticks(lo, hi, count=6):
     return [float(f"{v:.4g}") for v in raw]
 
 
-class LineChart:
+class Chart:
+    """Line series, point groups and vertical markers on shared axes."""
+
     def __init__(self, title="", x_label="", y_label="", width=720, height=440):
         self.title, self.x_label, self.y_label = title, x_label, y_label
         self.width, self.height = width, height
         self.series = []
+        self.groups = []
         self.vlines = []
 
     def add_series(self, xs, ys, label=""):
@@ -58,15 +62,22 @@ class LineChart:
         keep = np.isfinite(ys)
         self.series.append((xs[keep], ys[keep], label))
 
+    def add_points(self, xs, ys, label="", radius=3.0, filled=True):
+        self.groups.append(
+            (np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), label, radius, filled)
+        )
+
     def add_vline(self, x, label=""):
         self.vlines.append((float(x), label))
 
     def render(self):
-        all_x = np.concatenate([s[0] for s in self.series])
-        all_y = np.concatenate([s[1] for s in self.series])
+        layers = self.series + self.groups
+        all_x = np.concatenate([layer[0] for layer in layers])
+        all_y = np.concatenate([layer[1] for layer in layers])
         frame = _Frame(all_x, all_y, self.width, self.height)
         parts = [_svg_open(self.width, self.height)]
         parts.extend(_axes(frame, self.x_label, self.y_label, self.title))
+        # colors and legend rows run on from the series through the groups
         for i, (xs, ys, label) in enumerate(self.series):
             color = _PALETTE[i % len(_PALETTE)]
             pts = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys))
@@ -80,41 +91,7 @@ class LineChart:
                     f'y2="{y_leg}" stroke="{color}" stroke-width="2"/>'
                 )
                 parts.append(_text(self.width - 120, y_leg + 4, label))
-        for x, label in self.vlines:
-            px = _fmt(frame.px(x))
-            parts.append(
-                f'<line x1="{px}" y1="{frame.margin}" x2="{px}" '
-                f'y2="{self.height - frame.margin}" stroke="#444444" '
-                f'stroke-width="1" stroke-dasharray="5,4"/>'
-            )
-            if label:
-                parts.append(_text(frame.px(x) + 4, frame.margin + 12, label))
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.render())
-
-
-class ScatterChart:
-    def __init__(self, title="", width=620, height=620):
-        self.title = title
-        self.width, self.height = width, height
-        self.groups = []
-
-    def add_points(self, xs, ys, label="", radius=3.0, filled=True):
-        self.groups.append(
-            (np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), label, radius, filled)
-        )
-
-    def render(self):
-        all_x = np.concatenate([g[0] for g in self.groups])
-        all_y = np.concatenate([g[1] for g in self.groups])
-        frame = _Frame(all_x, all_y, self.width, self.height)
-        parts = [_svg_open(self.width, self.height)]
-        parts.extend(_axes(frame, "", "", self.title))
-        for i, (xs, ys, label, radius, filled) in enumerate(self.groups):
+        for i, (xs, ys, label, radius, filled) in enumerate(self.groups, len(self.series)):
             color = _PALETTE[i % len(_PALETTE)]
             fill = color if filled else "none"
             for x, y in zip(xs, ys):
@@ -129,6 +106,15 @@ class ScatterChart:
                     f'fill="{fill}" stroke="{color}"/>'
                 )
                 parts.append(_text(self.width - 134, y_leg + 4, label))
+        for x, label in self.vlines:
+            px = _fmt(frame.px(x))
+            parts.append(
+                f'<line x1="{px}" y1="{frame.margin}" x2="{px}" '
+                f'y2="{self.height - frame.margin}" stroke="#444444" '
+                f'stroke-width="1" stroke-dasharray="5,4"/>'
+            )
+            if label:
+                parts.append(_text(frame.px(x) + 4, frame.margin + 12, label))
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

@@ -11,7 +11,7 @@ from _datasets import redundant_groups, write_csv
 from sepselect import cli, pipeline
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
-from sepselect.cli import _run_config, build_parser, main
+from sepselect.cli import _selection, build_parser, main
 from sepselect.dataio import split_train_test
 from sepselect.pipeline import SelectionConfig
 
@@ -231,19 +231,19 @@ class TestSelect:
             assert first == second, name
 
 
-class TestRunConfig:
+class TestSelectionOptions:
     def test_omitted_selection_options_take_selection_config_defaults(self):
         args = build_parser().parse_args(
             ["select", "--input", "x.csv", "--label", "label", "--seed", "3"]
         )
-        assert _run_config(args).selection == SelectionConfig(seed=3)
+        assert _selection(args) == SelectionConfig(seed=3)
 
     def test_given_options_land_on_their_fields(self):
         args = build_parser().parse_args(
             ["compare", "--input", "x.csv", "--label", "label", "--seed", "3",
              "--folds", "4", "--k-max", "9", "--smoothing-window", "2"]
         )
-        assert _run_config(args).selection == SelectionConfig(
+        assert _selection(args) == SelectionConfig(
             seed=3, fold_count=4, k_max=9, smoothing_window=2
         )
 
@@ -279,6 +279,19 @@ class TestUsageErrors:
     def test_missing_required(self):
         assert main(["select", "--input", "x.csv"]) == 1
 
+    @pytest.mark.parametrize(
+        "command", [["baseline", "--method", "fisher", "--k", "3"], ["embed-only"]]
+    )
+    def test_neighbors_is_rejected_where_nothing_classifies(
+        self, csv_path, tmp_path, capsys, command
+    ):
+        outdir = tmp_path / "out"
+        args = [*command, "--input", csv_path, "--label", "label", "--seed", "3",
+                "--output-dir", str(outdir), "--neighbors", "3"]
+        assert main(args) == cli.EXIT_USAGE
+        assert "unrecognized arguments: --neighbors 3" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestBaselineCommand:
     @pytest.mark.parametrize("method", ["relieff", "fisher", "cfs", "random"])
@@ -308,6 +321,14 @@ class TestBaselineCommand:
         assert content[0] == "index,feature"
         assert len(content) == 4
 
+    def test_negative_seed_is_data_error(self, csv_path, capsys):
+        args = [
+            "baseline", "--input", csv_path, "--label", "label",
+            "--seed", "-1", "--method", "relieff", "--k", "3",
+        ]
+        assert main(args) == cli.EXIT_DATA
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_all_features(self, csv_path, capsys):
@@ -334,6 +355,16 @@ class TestEvaluateCommand:
         ]
         assert main(args) == 2
         assert "nosuch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", ["0,0,1", "f0,0"])
+    def test_repeated_feature_is_data_error(self, csv_path, capsys, features):
+        # a repeated feature once counted twice in every KNN distance
+        args = [
+            "evaluate", "--input", csv_path, "--label", "label",
+            "--seed", "2", "--features", features,
+        ]
+        assert main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: feature 0 is listed more than once\n"
 
 
 class TestEmbedOnly:

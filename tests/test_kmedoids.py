@@ -30,8 +30,8 @@ def brute_force_best(points, k):
 
 
 def choice_kmeanspp(points, k, seed):
-    """k-means++ seeding drawn with Generator.choice(m, p=...); the oracle
-    for the inline draw."""
+    """k-means++ seeding drawn with Generator.choice(m, p=...), chosen
+    points zeroed by hand; the oracle for kmeanspp_init."""
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     rng = np.random.default_rng(seed)
