@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from _datasets import redundant_groups
+from sepselect.dataio import minmax_normalize
 from sepselect.errors import DataError, NumericalError
+from sepselect.separability import build_feature_space
 from sepselect.tsne import (
     P_FLOOR,
     Q_FLOOR,
@@ -234,3 +237,43 @@ class TestEmbed:
     def test_rejects_counts_that_are_not_integers_in_range(self, iterations, seed):
         with pytest.raises(DataError, match="iterations" if seed == 0 else "seed"):
             embed(np.eye(6), 3.0, iterations, seed)
+
+
+def _end_kl(z, perplexity, coords):
+    p = symmetrize_affinities(conditional_affinities(z, perplexity))
+    return kl_divergence(p, low_dim_affinities(coords))
+
+
+class TestConvergence:
+    def test_criterion_3_case_descends_from_perturbed_starts(self):
+        # acceptance criterion 3's case; a start 1e-15 away in relative
+        # terms must not decide whether the descent lowers the KL
+        d, _ = redundant_groups(90, 3, [10, 10, 10], strengths=[2.0] * 3, noise=0.3, seed=33)
+        z = build_feature_space(minmax_normalize(d))
+        init = np.random.default_rng(4).normal(0.0, 1e-4, size=(len(z), 2))
+        kl_start = _end_kl(z, 8.0, init)
+        ends = [
+            _end_kl(z, 8.0, embed(z, 8.0, 300, 4, initial_coords=init * (1.0 + k * 1e-15)))
+            for k in range(20)
+        ]
+        assert max(ends) < kl_start, ends
+
+    @pytest.mark.parametrize(
+        "shape, options, perplexity, bound",
+        [
+            (
+                (400, 10, [8, 8, 7]),
+                dict(strengths=[1.5] * 3, noise=0.45, seed=5),
+                10.0,
+                0.01,
+            ),
+            ((300, 12, [34] * 6), {}, 30.0, 0.05),
+        ],
+        ids=["M23", "M204"],
+    )
+    def test_500_iterations_converge_at_small_and_large_m(self, shape, options, perplexity, bound):
+        # 500 is SelectionConfig's default iteration count
+        d, _ = redundant_groups(*shape, **options)
+        z = build_feature_space(minmax_normalize(d))
+        ends = [_end_kl(z, perplexity, embed(z, perplexity, 500, s)) for s in (1, 2, 3)]
+        assert max(ends) <= bound, ends

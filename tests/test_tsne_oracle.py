@@ -127,8 +127,10 @@ def kl_gradient(p, coords):
 
 def embed(z, perplexity, iterations, seed, initial_coords=None):
     # the schedule is spelled out here, not imported: output dimension 2,
-    # learning rate 200, exaggeration 4 for 100 iterations, momentum 0.5
-    # switching to 0.8 at iteration 250
+    # learning rate M, exaggeration 4 for 100 iterations, momentum 0.5
+    # switching to 0.8 at iteration 250, and per-coordinate gains that
+    # grow by 0.2 where the gradient's sign opposes the velocity's and
+    # shrink by a factor 0.8 otherwise, floored at 0.01
     points = np.asarray(z, dtype=float)
     m = points.shape[0]
     if m < 3:
@@ -143,6 +145,7 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
         if coords.shape != (m, 2):
             raise DataError("initial_coords shape mismatch")
     velocity = np.zeros_like(coords)
+    gains = np.ones_like(coords)
 
     for it in range(iterations):
         p_eff = p * 4.0 if it < 100 else p
@@ -150,7 +153,10 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         momentum = 0.5 if it < 250 else 0.8
-        velocity = momentum * velocity - 200.0 * grad
+        opposed = (grad > 0.0) != (velocity > 0.0)
+        gains = np.where(opposed, gains + 0.2, gains * 0.8)
+        gains = np.maximum(gains, 0.01)
+        velocity = momentum * velocity - m * (gains * grad)
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
     return coords
