@@ -65,7 +65,7 @@ class SelectionConfig:
 
     seed: int = 0
     perplexity: float = 30.0
-    tsne_iterations: int = 1000
+    tsne_iterations: int = 500
     fold_count: int = 5
     k_max: int | None = None  # cap on the clustering sweep; None = all features
     knee_sensitivity: float = 1.0
