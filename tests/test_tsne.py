@@ -239,9 +239,10 @@ class TestEmbed:
             embed(np.eye(6), 3.0, iterations, seed)
 
 
-def _end_kl(z, perplexity, coords):
+def _kl_to(z, perplexity):
+    """KL(P || Q) of given coordinates, P the affinities of z's rows."""
     p = symmetrize_affinities(conditional_affinities(z, perplexity))
-    return kl_divergence(p, low_dim_affinities(coords))
+    return lambda coords: kl_divergence(p, low_dim_affinities(coords))
 
 
 class TestConvergence:
@@ -251,22 +252,15 @@ class TestConvergence:
         d, _ = redundant_groups(90, 3, [10, 10, 10], strengths=[2.0] * 3, noise=0.3, seed=33)
         z = build_feature_space(minmax_normalize(d))
         init = np.random.default_rng(4).normal(0.0, 1e-4, size=(len(z), 2))
-        kl_start = _end_kl(z, 8.0, init)
-        ends = [
-            _end_kl(z, 8.0, embed(z, 8.0, 300, 4, initial_coords=init * (1.0 + k * 1e-15)))
-            for k in range(20)
-        ]
-        assert max(ends) < kl_start, ends
+        kl = _kl_to(z, 8.0)
+        starts = [init * (1.0 + k * 1e-15) for k in range(20)]
+        ends = [kl(embed(z, 8.0, 300, 4, initial_coords=start)) for start in starts]
+        assert max(ends) < kl(init), ends
 
     @pytest.mark.parametrize(
         "shape, options, perplexity, bound",
         [
-            (
-                (400, 10, [8, 8, 7]),
-                dict(strengths=[1.5] * 3, noise=0.45, seed=5),
-                10.0,
-                0.01,
-            ),
+            ((400, 10, [8, 8, 7]), dict(strengths=[1.5] * 3, noise=0.45, seed=5), 10.0, 0.01),
             ((300, 12, [34] * 6), {}, 30.0, 0.05),
         ],
         ids=["M23", "M204"],
@@ -275,5 +269,6 @@ class TestConvergence:
         # 500 is SelectionConfig's default iteration count
         d, _ = redundant_groups(*shape, **options)
         z = build_feature_space(minmax_normalize(d))
-        ends = [_end_kl(z, perplexity, embed(z, perplexity, 500, s)) for s in (1, 2, 3)]
+        kl = _kl_to(z, perplexity)
+        ends = [kl(embed(z, perplexity, 500, seed)) for seed in (1, 2, 3)]
         assert max(ends) <= bound, ends
