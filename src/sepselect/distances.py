@@ -1,7 +1,8 @@
 """Pairwise Euclidean distance matrices between point rows, and the
 nearest-first selection of row entries that neighbour searches share.
 
-Two forms. The Gram expansion (squared_pairwise) is fast. Explicit
+Two forms. The Gram expansion (squared_pairwise) is fast; the t-SNE
+descent folds its own into the Student-t weights. Explicit
 differences (squared_blocks, cross) give exact 0 for coincident rows;
 squared_blocks is the one implementation of that form. It takes a block of
 rows of a against every row of b at a time, whose (block rows, len(b), d)
@@ -20,23 +21,20 @@ import numpy as np
 _BLOCK_BYTES = 256 * 1024
 
 
-def squared_pairwise(x, out=None, scratch=None):
+def squared_pairwise(x):
     """(M, M) squared distances among the rows of x by Gram expansion;
     clipped at 0, with an exact zero diagonal.
 
-    out and scratch are optional C-contiguous float (M, M) buffers: the
-    result is written to out and the Gram product to scratch, so a caller
-    in a loop allocates nothing. The outer sum of squared norms is built
-    in place (every row set to the norms, then each row's own norm
-    added), with the same bits as sq[:, None] + sq[None, :], since
-    addition is commutative.
+    The outer sum of squared norms is built in place (every row set to the
+    norms, then each row's own norm added), with the same bits as
+    sq[:, None] + sq[None, :], since addition is commutative.
     """
     m = x.shape[0]
     sq = np.sum(x ** 2, axis=1)
-    d2 = np.empty((m, m)) if out is None else out
+    d2 = np.empty((m, m))
     d2[...] = sq
     d2 += sq[:, None]
-    d2 -= np.matmul(2.0 * x, x.T, out=scratch)
+    d2 -= np.matmul(2.0 * x, x.T)
     np.maximum(d2, 0.0, out=d2)
     d2.ravel()[:: m + 1] = 0.0
     return d2

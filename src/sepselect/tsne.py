@@ -32,14 +32,19 @@ row leaves once it converges, keeping only its beta, and every row's
 affinities are recomputed once at the end. It holds one (M, M - 1)
 matrix of shifted distances besides the block, so its peak is set by
 the distance matrix itself. The descent keeps P, the exaggerated P and
-two (M, M) buffers, and every iteration writes its Student-t weights, Q
-and gradient factor into those buffers: about fifteen passes over an
-(M, M) matrix and no allocation of one. The coordinates, velocities and
-gains are (M, 2) buffers updated in place.
+two (M, M) buffers. Every iteration makes two BLAS products and about
+nine passes over an (M, M) matrix, and allocates no such matrix: the
+rows [-2 v_i, 1 + |v_i|^2, 1] times [v_j, 1, |v_j|^2] write
+1 + ||v_i - v_j||^2 into one buffer, which becomes the Student-t weights
+w; Q = w / Z and pq = (P - Q) w go into the other; pq times the rows
+[v_j, 1] gives pq @ v and the row sums r of pq together, so
+grad = 4 (r v - pq @ v). The products' operands are allocated once per
+embedding, and the coordinates and velocities are updated in place.
 
 Exactness. Results are bit-for-bit those of a plain row-at-a-time
 implementation that allocates in every step (the tests keep one as the
-reference), warnings and errors included:
+reference; its gradient writes out the same two products), warnings and
+errors included:
 - a row's sum is an axis-1 sum over a C-contiguous 2-D block whose row
   holds exactly that row's terms, which numpy sums pairwise like the
   1-D row; zeros left in place, or np.add.reduceat, round differently;
@@ -47,12 +52,9 @@ reference), warnings and errors included:
   rounds differently;
 - operands are swapped only where IEEE arithmetic commutes (a + b, a * b)
   and never regrouped;
-- diag(r) - pq is built as 0.0 - pq with r written on the diagonal:
-  -pq would give -0.0 where 0.0 - pq gives +0.0;
 - the in-place step computes each entry as the reference's
-  momentum * velocity - M * (gains * grad), in that grouping, and the
-  gains' two updates are applied through complementary masks, which
-  rounds as the reference's np.where of both candidates.
+  momentum * velocity - M * (gains * grad), in that grouping, and
+  np.add.reduce(coords, axis=0) / M is coords.mean(axis=0) bit for bit.
 """
 
 import warnings
@@ -276,8 +278,8 @@ def low_dim_affinities(coords):
     return q
 
 
-def _student_weights(coords, out=None, scratch=None):
-    w = squared_pairwise(coords, out=out, scratch=scratch)
+def _student_weights(coords):
+    w = squared_pairwise(coords)
     w += 1.0
     np.divide(1.0, w, out=w)
     w.ravel()[:: len(w) + 1] = 0.0
@@ -299,24 +301,38 @@ def kl_gradient(p, coords):
     grad_i = 4 sum_j (p_ij - q_ij) (1 + ||v_i - v_j||^2)^-1 (v_i - v_j)
     """
     coords = np.asarray(coords, dtype=float)
-    m = coords.shape[0]
-    return _gradient_step(p, coords, np.empty((m, m)), np.empty((m, m)))
+    return _gradient_step(p, coords, *_step_buffers(*coords.shape))
 
 
-def _gradient_step(p, coords, w, q):
-    """kl_gradient(p, coords), computed in the (M, M) buffers w and q."""
+def _step_buffers(m, d):
+    """w and q, (M, M), the operands [-2 v_i, 1 + |v_i|^2, 1] and
+    [v_j, 1, |v_j|^2] with their columns of ones, and pq @ [v_j, 1]."""
+    left, right = np.ones((m, d + 2)), np.ones((m, d + 2))
+    return np.empty((m, m)), np.empty((m, m)), left, right, np.empty((m, d + 1))
+
+
+def _gradient_step(p, coords, w, q, left, right, out):
+    """kl_gradient(p, coords), computed in the buffers of _step_buffers."""
+    d = coords.shape[1]
     diagonal = slice(None, None, len(coords) + 1)
-    _student_weights(coords, out=w, scratch=q)
-    np.divide(w, w.sum(), out=q)
+    np.einsum("ij,ij->i", coords, coords, out=right[:, d + 1])  # |v_j|^2
+    np.add(right[:, d + 1], 1.0, out=left[:, d])
+    np.multiply(coords, -2.0, out=left[:, :d])
+    right[:, :d] = coords
+    np.matmul(left, right.T, out=w)  # 1 + ||v_i - v_j||^2
+    np.maximum(w, 1.0, out=w)
+    np.divide(1.0, w, out=w)
+    w.ravel()[diagonal] = 0.0
+    np.multiply(w, 1.0 / w.sum(), out=q)
     np.maximum(q, Q_FLOOR, out=q)
     q.ravel()[diagonal] = 0.0
     np.subtract(p, q, out=q)
-    q *= w  # pq, exactly 0 on the diagonal
-    rowsum = q.sum(axis=1)
-    # diag(rowsum) - pq; 0.0 - pq, unlike -pq, gives +0.0 where pq is 0
-    np.subtract(0.0, q, out=q)
-    q.ravel()[diagonal] = rowsum
-    return 4.0 * (q @ coords)
+    q *= w  # pq
+    np.matmul(q, right[:, : d + 1], out=out)  # [pq @ v, row sums of pq]
+    grad = out[:, d:] * coords
+    grad -= out[:, :d]
+    grad *= 4.0
+    return grad
 
 
 def embed(z, perplexity, iterations, seed, initial_coords=None):
@@ -346,22 +362,21 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
     gains = np.ones_like(coords)
     learning_rate = float(m)
     p_exaggerated = p * _EARLY_EXAGGERATION
-    w, q = np.empty((m, m)), np.empty((m, m))
+    buffers = _step_buffers(m, _OUTPUT_DIM)
 
     for it in range(iterations):
         p_eff = p_exaggerated if it < _EXAGGERATION_ITERS else p
-        grad = _gradient_step(p_eff, coords, w, q)
+        grad = _gradient_step(p_eff, coords, *buffers)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         momentum = _MOMENTUM_INITIAL if it < _MOMENTUM_SWITCH_ITER else _MOMENTUM_FINAL
         opposed = (grad > 0.0) != (velocity > 0.0)
-        gains[opposed] += _GAIN_STEP
-        gains[~opposed] *= _GAIN_DECAY
+        gains = np.where(opposed, gains + _GAIN_STEP, gains * _GAIN_DECAY)
         np.maximum(gains, _MIN_GAIN, out=gains)
         grad *= gains
         grad *= learning_rate
         velocity *= momentum
         velocity -= grad
         coords += velocity
-        coords -= coords.mean(axis=0)
+        coords -= np.add.reduce(coords, axis=0) / m  # the bits of coords.mean(axis=0)
     return coords

@@ -109,20 +109,24 @@ def _bisect_row(d2_row, target, tol, row_index):
     return best_p
 
 
-def _student_weights(coords):
-    w = 1.0 / (1.0 + squared_pairwise(coords))
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def kl_gradient(p, coords):
+    # the exact gradient, grouped as two products: [-2 v_i, 1 + |v_i|^2, 1]
+    # times [v_j, 1, |v_j|^2] is 1 + ||v_i - v_j||^2, and pq times
+    # [v_j, 1] gives pq @ v and the row sums of pq in one product
     coords = np.asarray(coords, dtype=float)
-    w = _student_weights(coords)
-    q = w / w.sum()
+    m, d = coords.shape
+    sq = np.einsum("ij,ij->i", coords, coords)[:, None]
+    ones = np.ones((m, 1))
+    left = np.hstack([-2.0 * coords, 1.0 + sq, ones])
+    right = np.hstack([coords, ones, sq])
+    w = 1.0 / np.maximum(left @ right.T, 1.0)
+    np.fill_diagonal(w, 0.0)
+    q = w * (1.0 / w.sum())
     np.maximum(q, Q_FLOOR, out=q)
     np.fill_diagonal(q, 0.0)
     pq = (p - q) * w
-    return 4.0 * ((np.diag(pq.sum(axis=1)) - pq) @ coords)
+    products = pq @ right[:, : d + 1]
+    return 4.0 * (products[:, d:] * coords - products[:, :d])
 
 
 def embed(z, perplexity, iterations, seed, initial_coords=None):
