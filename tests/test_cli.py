@@ -478,6 +478,29 @@ class TestCompare:
         assert main(_compare_args(csv_path, str(tmp_path / "cmp"))) == 0
         assert [cfg.seed for _, _, cfg in calls] == [7]
 
+    def test_no_timed_run_is_the_first_evaluation_of_a_repetition(
+        self, csv_path, tmp_path, monkeypatch, pin_workers
+    ):
+        # a process's first KNN run pays its warm-up; when that was the
+        # timed sepselect run, the golden compare printed a saving of -438.8%
+        pin_workers(1)
+        baseline_subsets, untimed = [], []
+        real_subset, real_evaluate = cli._baseline_subset, cli.evaluate
+
+        def baseline_subset(*args):
+            baseline_subsets.append(real_subset(*args))
+            return baseline_subsets[-1]
+
+        def evaluate(train, test, subset, **kwargs):
+            untimed.append(any(subset is s for s in baseline_subsets))
+            return real_evaluate(train, test, subset, **kwargs)
+
+        monkeypatch.setattr(cli, "_baseline_subset", baseline_subset)
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert main(_compare_args(csv_path, str(tmp_path / "cmp"))) == 0
+        # per repetition: the four baselines, then sepselect and all features
+        assert untimed == ([True] * 4 + [False] * 2) * 2
+
 
 @pytest.fixture(scope="module")
 def tied_csv_path(tmp_path_factory):
