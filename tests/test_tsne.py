@@ -161,17 +161,21 @@ class TestKlDivergence:
 
 
 class TestGradient:
-    def test_matches_central_finite_differences(self):
+    # kl_gradient accepts any output dimension d; the coordinate scales span
+    # the descent's 1e-4-sigma start to spread-out embeddings
+    @pytest.mark.parametrize("m, perplexity", [(6, 3.0), (40, 10.0)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_central_finite_differences(self, m, perplexity, d):
         rng = np.random.default_rng(23)
-        for trial in range(5):
-            points = rng.normal(size=(6, 3))
-            coords = rng.normal(size=(6, 2))
-            p = symmetrize_affinities(conditional_affinities(points, perplexity=3.0))
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e2):
+            points = rng.normal(size=(m, 3))
+            coords = rng.normal(size=(m, d)) * scale
+            p = symmetrize_affinities(conditional_affinities(points, perplexity))
             analytic = kl_gradient(p, coords)
-            h = 1e-6
+            h = 1e-6 * max(scale, 1.0)  # a smaller step drowns in the KL's rounding
             numeric = np.zeros_like(coords)
-            for i in range(6):
-                for r in range(2):
+            for i in range(m):
+                for r in range(d):
                     up, dn = coords.copy(), coords.copy()
                     up[i, r] += h
                     dn[i, r] -= h
@@ -180,7 +184,7 @@ class TestGradient:
                         - kl_divergence(p, low_dim_affinities(dn))
                     ) / (2.0 * h)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic)
-            assert rel < 1e-4
+            assert rel < 1e-4, (scale, rel)
 
 
 class TestEmbed:

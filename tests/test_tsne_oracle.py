@@ -8,6 +8,9 @@ The module also holds the memory bounds of the two t-SNE layers and the
 call contract the benchmark's trace relies on.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -353,3 +356,41 @@ class TestMemoryAndTraceContract:
         monkeypatch.setattr(tsne, "conditional_affinities", counting)
         tsne.embed(points[:30], 5.0, 3, 0)
         assert len(calls) == 1
+
+
+_DESCENT_SCRIPT = """
+import hashlib
+import numpy as np
+from sepselect import tsne
+m = 203
+rng = np.random.default_rng(5)
+p = rng.uniform(size=(m, m))
+p = (p + p.T) / (2.0 * p.sum())
+np.maximum(p, tsne.P_FLOOR, out=p)
+np.fill_diagonal(p, 0.0)
+coords = rng.normal(0.0, 1e-4, size=(m, 2))
+buffers = tsne._step_buffers(m, 2)
+for _ in range(300):
+    coords -= m * tsne._gradient_step(p, coords, *buffers)
+print(hashlib.sha256(coords.tobytes()).hexdigest())
+"""
+
+
+def test_descent_steps_do_not_depend_on_the_blas_thread_count():
+    # the step's two BLAS products at the workload size, on a P built
+    # without BLAS: their bits must not depend on how BLAS splits them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _DESCENT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
