@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import squared_pairwise
+from .distances import squared_blocks, squared_pairwise
 from .errors import DataError, NumericalError
 
 _MAX_SWAP_ROUNDS = 300
@@ -81,8 +81,10 @@ def kmeanspp_init(points, k, seed):
         raise DataError(f"k must be in [2, {m}], got {k}")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(m))]
-    d2 = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)  # exactly 0 at chosen points
+    d2 = np.full(m, np.inf)
     for _ in range(k - 1):
+        # the newest center's squared distances; exactly 0 at chosen points
+        np.minimum(d2, next(squared_blocks(pts[chosen[-1:]], pts))[0], out=d2)
         total = d2.sum()
         if not np.isfinite(total):
             raise NumericalError("non-finite coordinates or overflowing squared distances")
@@ -93,7 +95,6 @@ def kmeanspp_init(points, k, seed):
             remaining = np.setdiff1d(np.arange(m), chosen)
             nxt = int(rng.choice(remaining))
         chosen.append(nxt)
-        np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1), out=d2)
     return np.array(chosen, dtype=int)
 
 
@@ -175,13 +176,15 @@ def _swap_to_optimum(dist, medoids, cost_log=None):
     k = len(medoids)
     positions = np.arange(k)
 
-    for _ in range(_MAX_SWAP_ROUNDS):
+    for swaps in range(_MAX_SWAP_ROUNDS + 1):
         cols = dist[:, medoids]
         assignment, nearest = _assign(cols)
         # pin each medoid to its own cluster (ties with a coincident medoid
         # would otherwise send it to the lower index)
         assignment[medoids] = positions
         cost = float(nearest.sum())
+        if swaps == _MAX_SWAP_ROUNDS:
+            break  # the round limit, straight after a swap: no round starts
         if cost_log is not None:
             cost_log.append(cost)
         if k == m:
@@ -198,13 +201,7 @@ def _swap_to_optimum(dist, medoids, cost_log=None):
             medoids = np.sort(np.append(np.delete(medoids, pos), candidates[cand]))
         else:
             break
-
-    cols = dist[:, medoids]
-    assignment, nearest = _assign(cols)
-    assignment[medoids] = positions
-    return ClusteringResult(
-        medoids=medoids, assignment=assignment, cost=float(nearest.sum())
-    )
+    return ClusteringResult(medoids=medoids, assignment=assignment, cost=cost)
 
 
 def _build_next(dist, medoids):

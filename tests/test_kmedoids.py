@@ -229,6 +229,22 @@ class TestPamCluster:
         pam_cluster(np.random.default_rng(2).normal(size=(30, 2)), 4, seed=1, restarts=3)
         assert calls == [(30, 2)]
 
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_round_limit_after_a_swap_returns_the_swapped_medoids_clustering(
+        self, rounds, monkeypatch
+    ):
+        # the limit ends the loop straight after a swap: the assignment and
+        # cost must be those of the swapped medoids, not of the last round's
+        pts = np.random.default_rng(3).normal(size=(30, 2))
+        monkeypatch.setattr(kmedoids, "_MAX_SWAP_ROUNDS", rounds)
+        log = []
+        result = pam_cluster(pts, 5, seed=5, restarts=1, cost_log=log)
+        dist = np.sqrt(squared_pairwise(pts))
+        assignment, nearest = _assign(dist[:, result.medoids])
+        assert len(log) == rounds and result.cost < log[-1]
+        assert np.array_equal(result.assignment, assignment)
+        assert result.cost == float(nearest.sum())
+
     def test_rejects_bad_input(self):
         pts = np.random.default_rng(0).normal(size=(5, 2))
         with pytest.raises(DataError):
