@@ -1,13 +1,12 @@
 """Pairwise Euclidean distance matrices between point rows, and the
 nearest-first selection of row entries that neighbour searches share.
 
-Two forms. The Gram expansion (squared_pairwise) is fast; the t-SNE
-descent folds its own into the Student-t weights. Explicit
-differences (squared_blocks, cross) give exact 0 for coincident rows;
-squared_blocks is the one implementation of that form. It takes a block of
-rows of a against every row of b at a time, whose (block rows, len(b), d)
-temporary holds at most max(one row's (len(b), d) array, _BLOCK_BYTES):
-larger blocks fall out of cache and measured slower.
+One form, explicit differences: coincident rows are exactly 0, and no
+BLAS product is formed, so the bits do not depend on the thread count.
+squared_blocks is its one implementation. It takes a block of rows of a
+against every row of b at a time, whose (block rows, len(b), d) temporary
+holds at most max(one row's (len(b), d) array, _BLOCK_BYTES): larger
+blocks fall out of cache and measured slower.
 
 Layout rule: the temporary takes the memory order of the inputs, as the
 per-row difference b - row does, and that order fixes the bits of the sums
@@ -22,21 +21,19 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def squared_pairwise(x):
-    """(M, M) squared distances among the rows of x by Gram expansion;
-    clipped at 0, with an exact zero diagonal.
-
-    The outer sum of squared norms is built in place (every row set to the
-    norms, then each row's own norm added), with the same bits as
-    sq[:, None] + sq[None, :], since addition is commutative.
-    """
-    m = x.shape[0]
-    sq = np.sum(x ** 2, axis=1)
+    """(M, M) squared distances among the rows of x, whose square roots
+    are cross(x, x) bit for bit. Each block of rows goes against the rows
+    up to its last only, and the rest is mirrored, exactly: (a - b)^2 =
+    (b - a)^2, and a pair's d terms are summed in the same order."""
+    m = len(x)
     d2 = np.empty((m, m))
-    d2[...] = sq
-    d2 += sq[:, None]
-    d2 -= np.matmul(2.0 * x, x.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2.ravel()[:: m + 1] = 0.0
+    step = max(1, _BLOCK_BYTES // (x.nbytes or 1))
+    for start in range(0, m, step):
+        stop = start + step
+        # one block: the rows up to stop take no more bytes than x
+        (block,) = squared_blocks(x[start:stop], x[:stop])
+        d2[start:stop, :stop] = block
+        d2[:start, start:stop] = block[:, :start].T
     return d2
 
 
@@ -44,7 +41,7 @@ def squared_blocks(a, b):
     """Squared distances from consecutive blocks of the rows of a to every
     row of b by explicit differences, one (block rows, len(b)) array at a
     time."""
-    step = max(1, _BLOCK_BYTES // b.nbytes)
+    step = max(1, _BLOCK_BYTES // (b.nbytes or 1))
     for start in range(0, len(a), step):
         t = b[None] - a[start : start + step, None]
         np.square(t, out=t)

@@ -11,9 +11,9 @@ features against the validation part. Out-of-sample projection of a
 fold's embedding is ill-defined, so validation scoring happens in the
 raw separability space of the validation part: its array is rebuilt
 and its feature-to-feature distances computed once per fold (one
-distances.cross, in row blocks), then for every k each feature is
-assigned to the nearest medoid feature there and the validity index is
-evaluated on that geometry. The strategy is isolated in validation_mss()
+distances.squared_pairwise), then for every k each feature is assigned
+to the nearest medoid feature there and the validity index is evaluated
+on that geometry. The strategy is isolated in validation_mss()
 so an alternative reading is a one-function change.
 
 Workers: the folds and the final embedding of the whole training set
@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .dataio import check_fold_classes, make_folds
-from .distances import cross
+from .distances import squared_pairwise
 from .errors import DataError, require_integer, require_positive
 from .forkmap import run_tasks, settle
 from .kmedoids import _assign, pam_cluster, pam_sweep
@@ -122,7 +122,7 @@ def validation_mss(d_val, medoid_features):
     """Validity of train-fold medoid features against a validation fold:
     every feature goes to its nearest medoid feature (ties: lowest medoid
     index) in the validation part's raw separability space, whose (M, M)
-    distances d_val are cross(z_val, z_val)."""
+    distances d_val are np.sqrt(squared_pairwise(z_val))."""
     medoids = np.sort(np.asarray(medoid_features, dtype=int))
     cols = d_val[:, medoids]
     assignment, _ = _assign(cols)
@@ -184,7 +184,7 @@ def _fold_values(train, tr_idx, val_idx, cfg, f, k_hi):
     separability array is built."""
     z_tr = build_feature_space(train.select_rows(tr_idx))
     z_val = build_feature_space(train.select_rows(val_idx))
-    d_val = cross(z_val, z_val)
+    d_val = np.sqrt(squared_pairwise(z_val))
     coords = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
     return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(coords, k_hi)])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import cross
+from .distances import cross, squared_pairwise
 from .errors import DataError
 
 
@@ -69,7 +69,7 @@ def silhouette(points, clustering):
     assign = clustering.assignment
     sizes = clustering.cluster_sizes()
 
-    dist = cross(pts, pts)
+    dist = np.sqrt(squared_pairwise(pts))
     order = np.argsort(assign, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     sums = np.empty((m, k))

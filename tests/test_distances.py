@@ -87,7 +87,18 @@ class TestSquaredPairwise:
 
     def test_matches_difference_form(self):
         x = _points_with_duplicates()
-        assert np.allclose(squared_pairwise(x), cross(x, x) ** 2, rtol=0.0, atol=1e-12)
+        assert np.array_equal(np.sqrt(squared_pairwise(x)), cross(x, x))
+
+    @pytest.mark.parametrize("block_bytes", [1, 2048, 10**12])
+    @settings(max_examples=100, deadline=None)
+    @given(problem=row_pairs(), fortran=st.booleans())
+    def test_mirrored_blocks_are_bitwise_cross(self, block_bytes, problem, fortran):
+        # one row per block, several rows per block, all rows in one block
+        x = np.asfortranarray(problem[0]) if fortran else problem[0]
+        expected = cross(x, x)
+        with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
+            got = squared_pairwise(x)
+        assert np.sqrt(got).tobytes() == expected.tobytes()
 
 
 @st.composite

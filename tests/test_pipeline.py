@@ -19,7 +19,7 @@ from sepselect.pipeline import (
     select_features,
     validation_mss,
 )
-from sepselect.distances import cross
+from sepselect.distances import cross, squared_pairwise
 from sepselect.kmedoids import ClusteringResult, _assign
 from sepselect.separability import build_feature_space
 from sepselect.validity import mss
@@ -67,7 +67,7 @@ def tied_rows(tie):
 
 def _validation_mss(z, medoids):
     z = np.asarray(z, float)
-    return validation_mss(cross(z, z), medoids)
+    return validation_mss(np.sqrt(squared_pairwise(z)), medoids)
 
 
 class TestValidationScoring:
@@ -87,10 +87,10 @@ class TestValidationScoring:
         assert np.isnan(_validation_mss([[0.0, 0.0], [3.0, 0.0], [9.0, 1.0]], [0, 1, 2]))
 
     def test_distance_columns_equal_cross_columns(self):
-        # validation_mss slices the columns of cross(z, z) where mss would
-        # compute cross(z, z[medoids])
+        # validation_mss slices the columns of the fold's mirrored distance
+        # matrix where mss would compute cross(z, z[medoids])
         z = np.random.default_rng(2).random((9, 5))
-        d_val = cross(z, z)
+        d_val = np.sqrt(squared_pairwise(z))
         for j in range(len(z)):
             assert np.array_equal(d_val[:, j], cross(z, z[j : j + 1])[:, 0])
 
@@ -103,7 +103,7 @@ class TestValidationScoring:
         )
         z = build_feature_space(minmax_normalize(d))
         m = z.shape[0]
-        d_val = cross(z, z)
+        d_val = np.sqrt(squared_pairwise(z))
         rng = np.random.default_rng(5)
         for k in range(2, m + 1):
             for _ in range(3):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from _datasets import redundant_groups
 from sepselect.dataio import minmax_normalize
+from sepselect.distances import squared_pairwise
 from sepselect.errors import DataError, NumericalError
 from sepselect.separability import build_feature_space
 from sepselect.tsne import (
@@ -67,6 +69,23 @@ class TestConditionalAffinities:
         assert np.array_equal(p[0], [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0])
         assert np.array_equal(p[4], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0])
         assert oracle_perplexity(p[5]) == pytest.approx(2.0, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [1, 2, 6])
+    def test_identical_rows_are_exact_ties(self, seed):
+        # rows 5-11 coincide; on these seeds a Gram expansion left them a
+        # non-zero distance apart
+        points = np.random.default_rng(seed).random((40, 49))
+        points[5:12] = points[5]
+        assert np.all(squared_pairwise(points)[5:12, 5:12] == 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            conditional_affinities(points, perplexity=3.0)
+        messages = [str(w.message) for w in caught]
+        for i in range(5, 12):
+            assert (
+                f"row {i} has 6 tied nearest neighbors, more than perplexity 3.0; "
+                "using the uniform limit over them"
+            ) in messages
 
     def test_near_ties_that_cannot_bracket_still_raise(self):
         # one neighbor at exactly the minimum, three more 1e-300 away: the

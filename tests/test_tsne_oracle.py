@@ -31,11 +31,8 @@ _PERPLEXITY_TOL = 1e-7
 
 
 def squared_pairwise(x):
-    sq = np.sum(x ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    # explicit differences, one row at a time
+    return np.array([np.sum((x - row) ** 2, axis=1) for row in x])
 
 
 def _row_affinities(d2_row, beta):
@@ -376,9 +373,9 @@ print(hashlib.sha256(coords.tobytes()).hexdigest())
 """
 
 
-def test_descent_steps_do_not_depend_on_the_blas_thread_count():
-    # the step's two BLAS products at the workload size, on a P built
-    # without BLAS: their bits must not depend on how BLAS splits them
+def _digests_under_blas_threads(script):
+    """The stdout of script run in a subprocess under each of 1 and 2
+    OpenBLAS threads."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     digests = []
     for threads in ("1", "2"):
@@ -388,9 +385,35 @@ def test_descent_steps_do_not_depend_on_the_blas_thread_count():
             "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
         }
         proc = subprocess.run(
-            [sys.executable, "-c", _DESCENT_SCRIPT],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120, check=False,
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout)
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_descent_steps_do_not_depend_on_the_blas_thread_count():
+    # the step's two BLAS products at the workload size, on a P built
+    # without BLAS: their bits must not depend on how BLAS splits them
+    first, second = _digests_under_blas_threads(_DESCENT_SCRIPT)
+    assert first == second
+
+
+_EMBED_SCRIPT = """
+import hashlib
+import numpy as np
+from sepselect import tsne
+z = np.random.default_rng(11).uniform(size=(203, 144))
+print(hashlib.sha256(tsne.embed(z, 30.0, 200, 0).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+    reason="numpy's BLAS is not OpenBLAS, which OPENBLAS_NUM_THREADS sets",
+)
+def test_embedding_does_not_depend_on_the_blas_thread_count():
+    # the wide workload's shape: affinities from 144 columns, then the descent
+    first, second = _digests_under_blas_threads(_EMBED_SCRIPT)
+    assert first == second
