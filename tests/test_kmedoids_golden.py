@@ -1,10 +1,12 @@
 """Golden outputs of pam_cluster on fixed seeded point clouds.
 
 tests/data/pam_golden.json holds, per cloud, the medoids, assignment, cost
-and winning cost log that the straightforward implementation (full argsort
-for the second-nearest medoid, setdiff1d candidates, one masked sum per
-medoid position, Generator.choice seeding, one distance matrix per restart)
-produced. Vectorizing PAM must reproduce every one of them bit for bit.
+and winning cost log of pam_cluster on the explicit-difference distances
+of distances.squared_pairwise. The medoids and assignments are those the
+straightforward implementation (full argsort for the second-nearest
+medoid, setdiff1d candidates, one masked sum per medoid position,
+Generator.choice seeding, one distance matrix per restart) produced.
+Vectorizing PAM must reproduce every one of them bit for bit.
 
 Regenerate only on a deliberate change of results:
 
