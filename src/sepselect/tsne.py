@@ -26,9 +26,10 @@ the gradient's sign opposes the velocity's, x0.8 otherwise, floored at
 0.01; a step is velocity = momentum * velocity - M * (gains * grad).
 
 Cost and memory, for M points. The squared distances between the input
-rows come from distances.squared_pairwise (about 9 ms at M=203, d=144):
-explicit differences, each pair once, so their bits do not depend on the
-BLAS thread count and identical rows tie exactly, as the tie limit needs.
+rows come from distances.squared_pairwise, about a third of the
+affinities' time at M=203, d=144: explicit differences, each pair once,
+so their bits do not depend on the BLAS thread count and identical rows
+tie exactly, as the tie limit needs.
 The bandwidth search bisects all rows in lockstep: one step is a few
 numpy passes over the rows still open, in blocks of about M/2 rows,
 instead of a Python loop per row and step; a row leaves once it
