@@ -40,6 +40,14 @@ EXIT_NUMERIC = 3
 
 _BASELINES = ("relieff", "fisher", "cfs", "random")
 
+# flag, type and help of each SelectionConfig field besides seed
+_SELECTION_FLAGS = {
+    "perplexity": ("--perplexity", float, None),
+    "tsne_iterations": ("--tsne-iterations", int, None),
+    "fold_count": ("--folds", int, None),
+    "k_max": ("--k-max", int, "cap the clustering sweep"),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -66,33 +74,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_selection=True):
+    def common(p, *selection_fields, writes=True):
         # selection options default to SUPPRESS and are stored under their
         # SelectionConfig field names, so the defaults live in that class only
-        def selection(flag, dest, type_, help_=None):
-            p.add_argument(flag, dest=dest, type=type_, default=argparse.SUPPRESS, help=help_)
-
         p.add_argument("--input", required=True, help="CSV file (header row required)")
         p.add_argument("--label", required=True, help="label column name or zero-based index")
         p.add_argument("--seed", type=int, required=True, help="base seed for all randomness")
-        p.add_argument("--output-dir", default=None, help="artifact directory")
-        if with_selection:
-            selection("--perplexity", "perplexity", float)
-            selection("--tsne-iterations", "tsne_iterations", int)
-            selection("--folds", "fold_count", int)
-            selection("--k-max", "k_max", int, "cap the clustering sweep")
-            selection("--knee-sensitivity", "knee_sensitivity", float)
-            selection("--smoothing-window", "smoothing_window", int)
+        if writes:
+            p.add_argument("--output-dir", default=None, help="artifact directory")
+        for name in selection_fields:
+            flag, type_, help_ = _SELECTION_FLAGS[name]
+            p.add_argument(flag, dest=name, type=type_, default=argparse.SUPPRESS, help=help_)
 
     def neighbors(p):
-        # compare and evaluate classify with it; select echoes it into report.txt
+        # compare and evaluate classify with it
         p.add_argument(
             "--neighbors", type=int, default=DEFAULT_NEIGHBORS, help="KNN neighbor count"
         )
 
     p_select = sub.add_parser("select", help="run the full selection pipeline")
-    common(p_select)
-    neighbors(p_select)
+    common(p_select, *_SELECTION_FLAGS)
     p_select.add_argument("--plots", action="store_true", help="emit SVG charts")
     p_select.add_argument(
         "--index-curves",
@@ -104,21 +105,21 @@ def build_parser():
     p_compare = sub.add_parser(
         "compare", help="selection vs baseline filters at the same subset size"
     )
-    common(p_compare)
+    common(p_compare, *_SELECTION_FLAGS)
     neighbors(p_compare)
     p_compare.add_argument("--repetitions", type=int, default=10)
     p_compare.add_argument("--relieff-neighbors", type=int, default=DEFAULT_RELIEFF_NEIGHBORS)
     p_compare.set_defaults(func=cmd_compare)
 
     p_base = sub.add_parser("baseline", help="run one baseline filter at a given k")
-    common(p_base, with_selection=False)
+    common(p_base)
     p_base.add_argument("--method", required=True, choices=_BASELINES)
     p_base.add_argument("--k", type=int, required=True)
     p_base.add_argument("--relieff-neighbors", type=int, default=DEFAULT_RELIEFF_NEIGHBORS)
     p_base.set_defaults(func=cmd_baseline)
 
     p_eval = sub.add_parser("evaluate", help="KNN-evaluate a feature subset")
-    common(p_eval, with_selection=False)
+    common(p_eval, writes=False)
     neighbors(p_eval)
     p_eval.add_argument(
         "--features",
@@ -129,7 +130,7 @@ def build_parser():
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_embed = sub.add_parser("embed-only", help="export the feature embedding")
-    common(p_embed)
+    common(p_embed, "perplexity", "tsne_iterations")
     p_embed.add_argument(
         "--export-z", action="store_true", help="also export the separability matrix"
     )
@@ -193,7 +194,6 @@ def _config_echo(args, sel):
     for f in fields(SelectionConfig):
         value = getattr(sel, f.name)
         lines.append(f"  {f.name}: {'none' if value is None else repr(value)}")
-    lines.append(f"  n_neighbors: {args.neighbors}")
     return lines
 
 
@@ -437,6 +437,7 @@ def cmd_compare(args):
     lines = [f"method comparison (k_min={k_min}, repetitions={reps})", ""]
     lines.extend(_config_echo(args, sel))
     lines += [
+        f"  n_neighbors: {args.neighbors}",
         f"  repetitions: {reps}",
         f"  relieff_neighbors: {args.relieff_neighbors}",
         "",

@@ -3,15 +3,15 @@
 A knee is the point where a curve pulls away most from the straight line
 joining its endpoints. After normalizing both axes to [0, 1] and flipping
 the curve into increasing-concave orientation, the difference between the
-normalized curve and the diagonal peaks at the knee; a sensitivity
-threshold rejects local maxima that are not pronounced enough.
+normalized curve and the diagonal peaks at the knee. Kneedle's sensitivity
+is fixed at its default, 1, and the curve is not smoothed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, require_positive
+from .errors import DataError
 
 
 @dataclass
@@ -20,8 +20,6 @@ class Curve:
 
     xs: np.ndarray
     ys: np.ndarray
-    smoothing_window: int = 0
-    sensitivity: float = 1.0
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -32,20 +30,6 @@ class Curve:
             raise DataError(f"need at least 3 points, got {len(self.xs)}")
         if np.any(np.diff(self.xs) <= 0.0):
             raise DataError("xs must be strictly increasing")
-        if self.smoothing_window < 0:
-            raise DataError("smoothing_window must be non-negative")
-        require_positive("sensitivity", self.sensitivity)
-
-
-def _moving_average(ys, half_width):
-    if half_width == 0:
-        return ys
-    n = len(ys)
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = max(0, i - half_width), min(n, i + half_width + 1)
-        out[i] = ys[lo:hi].mean()
-    return out
 
 
 def _normalize(v):
@@ -82,9 +66,8 @@ def _orient(xn, yn):
 
 
 def _difference_curve(curve):
-    ys = _moving_average(curve.ys, curve.smoothing_window)
     xn = _normalize(curve.xs)
-    yn = _normalize(ys)
+    yn = _normalize(curve.ys)
     x_used, y_used, flip_x = _orient(xn, yn)
     return x_used, y_used - x_used, flip_x
 
@@ -102,9 +85,9 @@ def kneedle(curve):
     """Knee x-value, or None when no pronounced knee exists.
 
     A candidate local maximum of the difference curve is confirmed when
-    the difference drops below (maximum value - sensitivity * mean
-    normalized x-gap) before the next candidate is reached; the first
-    confirmed candidate wins. Straight lines yield no candidates.
+    the difference drops below (maximum value - mean normalized x-gap)
+    before the next candidate is reached; the first confirmed candidate
+    wins. Straight lines yield no candidates.
     """
     x_used, d, flip_x = _difference_curve(curve)
     maxima = _local_maxima(d)
@@ -113,7 +96,7 @@ def kneedle(curve):
     n = len(d)
     mean_gap = float(np.mean(np.diff(x_used)))
     for pos, i in enumerate(maxima):
-        threshold = d[i] - curve.sensitivity * mean_gap
+        threshold = d[i] - mean_gap
         stop = maxima[pos + 1] if pos + 1 < len(maxima) else n
         for j in range(i + 1, stop):
             if d[j] < threshold:

@@ -61,15 +61,13 @@ from .validity import mss, mss_from_distances, silhouette, simplified_silhouette
 @dataclass
 class SelectionConfig:
     """Every option of the selection pipeline and its default; echoed
-    verbatim into reports."""
+    verbatim into reports. The knee takes none: see knee.py."""
 
     seed: int = 0
     perplexity: float = 30.0
     tsne_iterations: int = 500
     fold_count: int = 5
     k_max: int | None = None  # cap on the clustering sweep; None = all features
-    knee_sensitivity: float = 1.0
-    smoothing_window: int = 0
 
     def __post_init__(self):
         require_integer("seed", self.seed, 0)
@@ -78,9 +76,7 @@ class SelectionConfig:
             # knee detection needs 3 curve points, k = 2..4
             require_integer("k_max", self.k_max, 4)
         require_positive("perplexity", self.perplexity)
-        require_positive("knee_sensitivity", self.knee_sensitivity)
         require_integer("tsne_iterations", self.tsne_iterations, 1)
-        require_integer("smoothing_window", self.smoothing_window, 0)
 
 
 @dataclass
@@ -201,12 +197,7 @@ def select_features(train, cfg):
     ks_def, avg_def = curve.defined()
     if len(ks_def) < 3:
         raise DataError("too few defined curve points for knee detection")
-    knee_curve = Curve(
-        xs=ks_def.astype(float),
-        ys=avg_def,
-        smoothing_window=cfg.smoothing_window,
-        sensitivity=cfg.knee_sensitivity,
-    )
+    knee_curve = Curve(xs=ks_def.astype(float), ys=avg_def)
     knee_x = kneedle(knee_curve)
     knee_source = "kneedle"
     if knee_x is None:

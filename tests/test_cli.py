@@ -122,7 +122,7 @@ class TestSelect:
         assert main(_select_args(csv_path, outdir, ["--k-max", "5"])) == 0
         report = open(os.path.join(outdir, "report.txt")).read().splitlines()
         start = report.index("config:")
-        assert report[start + 1:start + 11] == [
+        assert report[start + 1:start + 8] == [
             f"  input: {csv_path}",
             "  label_column: label",
             "  seed: 11",
@@ -130,21 +130,10 @@ class TestSelect:
             "  tsne_iterations: 120",
             "  fold_count: 4",
             "  k_max: 5",
-            "  knee_sensitivity: 1.0",
-            "  smoothing_window: 0",
-            "  n_neighbors: 5",
         ]
-        assert report[start + 11] == ""
+        assert report[start + 8] == ""
 
-    @pytest.mark.parametrize(
-        "flag,value",
-        [
-            ("--knee-sensitivity", "nan"),
-            ("--knee-sensitivity", "inf"),
-            ("--perplexity", "nan"),
-            ("--perplexity", "inf"),
-        ],
-    )
+    @pytest.mark.parametrize("flag,value", [("--perplexity", "nan"), ("--perplexity", "inf")])
     def test_non_finite_options_are_data_errors_before_any_fold(
         self, csv_path, tmp_path, capsys, monkeypatch, flag, value
     ):
@@ -180,7 +169,6 @@ class TestSelect:
         [
             ("--tsne-iterations", "0", "tsne_iterations must be an integer >= 1, got 0"),
             ("--tsne-iterations", "-5", "tsne_iterations must be an integer >= 1, got -5"),
-            ("--smoothing-window", "-1", "smoothing_window must be an integer >= 0, got -1"),
             ("--folds", "1", "fold_count must be an integer >= 2, got 1"),
             ("--seed", "-1", "seed must be an integer >= 0, got -1"),
         ],
@@ -188,8 +176,7 @@ class TestSelect:
     def test_out_of_range_counts_fail_before_any_fold(
         self, csv_path, tmp_path, capsys, monkeypatch, flag, value, message
     ):
-        # these once failed only inside the folds (tsne_iterations) or after
-        # the whole sweep (smoothing_window, at knee detection)
+        # tsne_iterations once failed only inside the folds
         calls = []
         real = pipeline.build_feature_space
 
@@ -241,10 +228,10 @@ class TestSelectionOptions:
     def test_given_options_land_on_their_fields(self):
         args = build_parser().parse_args(
             ["compare", "--input", "x.csv", "--label", "label", "--seed", "3",
-             "--folds", "4", "--k-max", "9", "--smoothing-window", "2"]
+             "--folds", "4", "--k-max", "9", "--tsne-iterations", "80"]
         )
         assert _selection(args) == SelectionConfig(
-            seed=3, fold_count=4, k_max=9, smoothing_window=2
+            seed=3, fold_count=4, k_max=9, tsne_iterations=80
         )
 
     def test_other_defaults_match_the_functions_they_feed(self):
@@ -253,11 +240,10 @@ class TestSelectionOptions:
 
         common = ["--input", "x.csv", "--label", "label", "--seed", "3"]
         parser = build_parser()
-        assert parser.parse_args(["select", *common]).neighbors == default(
-            evaluate, "n_neighbors"
-        )
+        compare = parser.parse_args(["compare", *common])
+        assert compare.neighbors == default(evaluate, "n_neighbors")
         relieff = default(relieff_weights, "neighbors")
-        assert parser.parse_args(["compare", *common]).relieff_neighbors == relieff
+        assert compare.relieff_neighbors == relieff
         base = parser.parse_args(["baseline", *common, "--method", "relieff", "--k", "2"])
         assert base.relieff_neighbors == relieff
         evaluate_args = parser.parse_args(["evaluate", *common, "--features", "all"])
@@ -280,7 +266,7 @@ class TestUsageErrors:
         assert main(["select", "--input", "x.csv"]) == 1
 
     @pytest.mark.parametrize(
-        "command", [["baseline", "--method", "fisher", "--k", "3"], ["embed-only"]]
+        "command", [["baseline", "--method", "fisher", "--k", "3"], ["embed-only"], ["select"]]
     )
     def test_neighbors_is_rejected_where_nothing_classifies(
         self, csv_path, tmp_path, capsys, command
@@ -290,6 +276,31 @@ class TestUsageErrors:
                 "--output-dir", str(outdir), "--neighbors", "3"]
         assert main(args) == cli.EXIT_USAGE
         assert "unrecognized arguments: --neighbors 3" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["select"], "--knee-sensitivity"),
+            (["select"], "--smoothing-window"),
+            (["embed-only"], "--folds"),
+            (["embed-only"], "--k-max"),
+            (["evaluate", "--features", "all"], "--output-dir"),
+        ],
+        ids=lambda param: param if isinstance(param, str) else param[0],
+    )
+    def test_options_a_command_would_ignore_are_rejected(
+        self, csv_path, tmp_path, capsys, command, flag
+    ):
+        # the knee takes no options, embed-only runs no folds and no sweep,
+        # and evaluate writes no file
+        outdir = tmp_path / "out"
+        args = [*command, "--input", csv_path, "--label", "label", "--seed", "3",
+                "--output-dir", str(outdir)]
+        if flag != "--output-dir":
+            args += [flag, "2"]
+        assert main(args) == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not outdir.exists()
 
 

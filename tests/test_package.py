@@ -1,7 +1,9 @@
+import argparse
 import pathlib
 import re
 
 import sepselect
+from sepselect import cli
 
 
 def test_public_names_are_sorted_unique_and_importable():
@@ -23,3 +25,18 @@ def test_readme_layout_names_every_module():
     listed = set(re.findall(r"^\s+(\w+\.py)\s", block, flags=re.M))
     modules = {p.name for p in package.glob("*.py")} - {"__init__.py"}
     assert listed == modules
+
+
+def test_readme_names_every_command_line_flag():
+    # a flag missing from the README is one that only --help documents
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    } - {"-h", "--help"}
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert flags - set(re.findall(r"--[a-z][a-z-]*", readme)) == set()

@@ -34,7 +34,6 @@ def small_cfg(**overrides):
         tsne_iterations=300,
         fold_count=5,
         k_max=None,
-        knee_sensitivity=1.0,
     )
     base.update(overrides)
     return SelectionConfig(**base)
@@ -248,8 +247,6 @@ class TestSelectFeatures:
             ("tsne_iterations", 2.5),
             ("tsne_iterations", True),
             ("tsne_iterations", "100"),
-            ("smoothing_window", -1),
-            ("smoothing_window", 1.0),
             ("fold_count", 1),
             ("fold_count", 2.5),
             ("k_max", 3),
@@ -264,14 +261,13 @@ class TestSelectFeatures:
             SelectionConfig(**{field: value})
 
     def test_config_accepts_numpy_integer_counts(self):
-        cfg = SelectionConfig(tsne_iterations=np.int64(50), smoothing_window=np.int32(0))
+        cfg = SelectionConfig(tsne_iterations=np.int64(50), fold_count=np.int32(3))
         assert cfg.tsne_iterations == 50
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-    @pytest.mark.parametrize("field", ["perplexity", "knee_sensitivity"])
-    def test_config_rejects_non_positive_or_non_finite(self, field, value):
-        with pytest.raises(DataError, match=f"{field} must be a positive finite number"):
-            SelectionConfig(**{field: value})
+    def test_config_rejects_non_positive_or_non_finite(self, value):
+        with pytest.raises(DataError, match="perplexity must be a positive finite number"):
+            SelectionConfig(perplexity=value)
 
 
 def fold_of(seed, cfg):
