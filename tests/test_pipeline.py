@@ -265,9 +265,10 @@ class TestSelectFeatures:
         assert cfg.tsne_iterations == 50
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_config_rejects_non_positive_or_non_finite(self, value):
-        with pytest.raises(DataError, match="perplexity must be a positive finite number"):
-            SelectionConfig(perplexity=value)
+    @pytest.mark.parametrize("field", ["perplexity"])
+    def test_config_rejects_non_positive_or_non_finite(self, field, value):
+        with pytest.raises(DataError, match=f"{field} must be a positive finite number"):
+            SelectionConfig(**{field: value})
 
 
 def fold_of(seed, cfg):
