@@ -283,8 +283,12 @@ class TestUsageErrors:
         [
             (["select"], "--knee-sensitivity"),
             (["select"], "--smoothing-window"),
+            (["compare"], "--knee-sensitivity"),
+            (["compare"], "--smoothing-window"),
             (["embed-only"], "--folds"),
             (["embed-only"], "--k-max"),
+            (["embed-only"], "--knee-sensitivity"),
+            (["embed-only"], "--smoothing-window"),
             (["evaluate", "--features", "all"], "--output-dir"),
         ],
         ids=lambda param: param if isinstance(param, str) else param[0],

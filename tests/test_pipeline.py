@@ -270,6 +270,12 @@ class TestSelectFeatures:
         with pytest.raises(DataError, match=f"{field} must be a positive finite number"):
             SelectionConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["knee_sensitivity", "smoothing_window"])
+    def test_config_has_no_knee_options(self, field):
+        # the knee is parameter-free (knee.py), so the config offers no knob for it
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            SelectionConfig(**{field: 1})
+
 
 def fold_of(seed, cfg):
     return seed - cfg.seed - 1  # fold f embeds with seed base + 1 + f
