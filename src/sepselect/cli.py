@@ -54,6 +54,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # every sub-command's parser is built by this class too, so no parser
+    # takes a prefix of a flag for the flag
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -65,7 +65,7 @@ class SelectionConfig:
 
     seed: int = 0
     perplexity: float = 30.0
-    tsne_iterations: int = 500
+    tsne_iterations: int = 500  # a cap: the descent stops at its fixed point
     fold_count: int = 5
     k_max: int | None = None  # cap on the clustering sweep; None = all features
 

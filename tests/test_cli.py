@@ -307,6 +307,27 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            (["select"], "--perp 5"),
+            (["select"], "--tsne 9"),
+            (["compare"], "--relieff 3"),
+            (["baseline", "--method", "relieff", "--k", "3"], "--relieff 3"),
+            (["evaluate", "--features", "all"], "--train 0.5"),
+        ],
+        ids=lambda param: param if isinstance(param, str) else param[0],
+    )
+    def test_abbreviated_options_are_rejected(self, csv_path, tmp_path, capsys, command, option):
+        # a prefix of a flag is not the flag
+        outdir = tmp_path / "out"
+        args = [*command, "--input", csv_path, "--label", "label", "--seed", "3", *option.split()]
+        if command[0] != "evaluate":
+            args += ["--output-dir", str(outdir)]
+        assert main(args) == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestBaselineCommand:
     @pytest.mark.parametrize("method", ["relieff", "fisher", "cfs", "random"])

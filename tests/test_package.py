@@ -3,7 +3,7 @@ import pathlib
 import re
 
 import sepselect
-from sepselect import cli
+from sepselect import cli, tsne
 
 
 def test_public_names_are_sorted_unique_and_importable():
@@ -40,3 +40,35 @@ def test_readme_names_every_command_line_flag():
     root = pathlib.Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")
     assert flags - set(re.findall(r"--[a-z][a-z-]*", readme)) == set()
+
+
+def test_readme_states_every_tsne_schedule_constant():
+    # the fixed settings are not options, so the README is their only
+    # documentation outside the source
+    def number(name):
+        # 1e-07 is written 1e-7
+        return f"{getattr(tsne, name):g}".replace("e-0", "e-")
+
+    phrases = {
+        "_OUTPUT_DIM": "{} output dimensions",
+        "_GAIN_STEP": "(+{} where the gradient's sign opposes",
+        "_GAIN_DECAY": "x{} otherwise",
+        "_MIN_GAIN": "floor {})",
+        "_EARLY_EXAGGERATION": "early exaggeration {} for the first",
+        "_EXAGGERATION_ITERS": "for the first {} iterations",
+        "_MOMENTUM_INITIAL": "momentum {} then",
+        "_MOMENTUM_FINAL": "then {} from iteration",
+        "_MOMENTUM_SWITCH_ITER": "from iteration {}, bisection",
+        "_PERPLEXITY_TOL": "bisection tolerance {} in perplexity",
+        "_BISECT_MAX_ITER": "at most {} bisection steps",
+        "_STEP_TOL": "moved no coordinate by more than {} of the largest",
+    }
+    constants = {name for name in vars(tsne) if re.fullmatch(r"_[A-Z_]+", name)}
+    assert constants == set(phrases)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.split("Fixed t-SNE settings", 1)[1].split("\n\n")[0].split())
+    for name, phrase in phrases.items():
+        assert phrase.format(number(name)) in paragraph, name
+    stop = f"from iteration {number('_MOMENTUM_SWITCH_ITER')} on, every 10th step is checked"
+    assert stop in paragraph

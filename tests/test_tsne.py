@@ -295,3 +295,11 @@ class TestConvergence:
         kl = _kl_to(z, perplexity)
         ends = [kl(embed(z, perplexity, 500, seed)) for seed in (1, 2, 3)]
         assert max(ends) <= bound, ends
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_descent_stops_at_its_fixed_point(self, seed):
+        # the M23 case settles long before 500 iterations, so a larger
+        # cap must not take another step
+        d, _ = redundant_groups(400, 10, [8, 8, 7], strengths=[1.5] * 3, noise=0.45, seed=5)
+        z = build_feature_space(minmax_normalize(d))
+        assert embed(z, 10.0, 500, seed).tobytes() == embed(z, 10.0, 2000, seed).tobytes()

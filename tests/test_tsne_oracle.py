@@ -19,8 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _datasets import redundant_groups
 from sepselect import tsne
+from sepselect.dataio import minmax_normalize
 from sepselect.errors import DataError, NumericalError
+from sepselect.separability import build_feature_space
 from sepselect.tsne import P_FLOOR, Q_FLOOR, symmetrize_affinities
 
 _BISECT_MAX_ITER = 50
@@ -134,7 +137,9 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
     # learning rate M, exaggeration 4 for 100 iterations, momentum 0.5
     # switching to 0.8 at iteration 250, and per-coordinate gains that
     # grow by 0.2 where the gradient's sign opposes the velocity's and
-    # shrink by a factor 0.8 otherwise, floored at 0.01
+    # shrink by a factor 0.8 otherwise, floored at 0.01; from iteration
+    # 250 on, every 10th step stops the descent if it moved no coordinate
+    # by more than 1e-12 of the largest coordinate magnitude
     points = np.asarray(z, dtype=float)
     m = points.shape[0]
     if m < 3:
@@ -163,6 +168,9 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
         velocity = momentum * velocity - m * (gains * grad)
         coords = coords + velocity
         coords = coords - coords.mean(axis=0)
+        if it >= 250 and it % 10 == 0:
+            if np.max(np.abs(velocity)) <= 1e-12 * np.max(np.abs(coords)):
+                break
     return coords
 
 
@@ -284,6 +292,13 @@ class TestEntropyBits:
         assert tsne._entropy_bits(p).tobytes() == np.array(expected).tobytes()
 
 
+def _redundant_feature_space():
+    # three redundant groups, M=23: the descent stops at its fixed point
+    # long before 600 iterations
+    d, _ = redundant_groups(400, 10, [8, 8, 7], strengths=[1.5] * 3, noise=0.45, seed=5)
+    return build_feature_space(minmax_normalize(d))
+
+
 @st.composite
 def embed_problems(draw):
     m = draw(st.integers(3, 16))
@@ -292,8 +307,9 @@ def embed_problems(draw):
     if draw(st.booleans()):
         points[1] = points[0]  # a coincident pair
     perplexity = draw(st.floats(1.0, m - 1.0))
-    # short runs, and runs past both the exaggeration and the momentum switch
-    iterations = draw(st.one_of(st.integers(1, 120), st.integers(251, 270)))
+    # short runs, and runs past the exaggeration, the momentum switch and
+    # the first stop checks
+    iterations = draw(st.one_of(st.integers(1, 120), st.integers(251, 600)))
     return points, perplexity, iterations, draw(st.integers(0, 1000))
 
 
@@ -301,6 +317,7 @@ class TestDescentMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(problem=embed_problems())
     @example(problem=(np.random.default_rng(7).uniform(size=(12, 4)), 4.0, 260, 3))
+    @example(problem=(_redundant_feature_space(), 10.0, 600, 1))
     def test_coordinates(self, problem):
         _assert_same_outcome(_outcome(embed, *problem), _outcome(tsne.embed, *problem))
 
