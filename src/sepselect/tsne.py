@@ -20,11 +20,10 @@ exaggeration 4 for the first 100 iterations, momentum 0.5 switching to
 units. The learning rate is M, the number of points, which scales the
 step with the point count (Belkina et al., Nat. Commun. 2019): a fixed
 rate such as the common 200 oscillates at small M and leaves M=23 far
-from converged after 1000 iterations. Each coordinate carries the gain
-of the reference t-SNE implementation (van der Maaten & Hinton, JMLR
-2008): +0.2 where the gradient's sign opposes the velocity's, x0.8
-otherwise, floored at 0.01; a step is
-velocity = momentum * velocity - M * (gains * grad).
+from converged after 1000 iterations. Each coordinate carries the gain of the reference
+t-SNE implementation (van der Maaten & Hinton, JMLR 2008): +0.2 where
+the gradient's sign opposes the velocity's, x0.8 otherwise, floored at
+0.01; a step is velocity = momentum * velocity - M * (gains * grad).
 
 The iteration count is a cap. Like opt-SNE (Belkina et al.), the descent
 stops once it stops making progress, here at its fixed point: from
