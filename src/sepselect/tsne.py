@@ -96,10 +96,7 @@ _MOMENTUM_SWITCH_ITER = 250
 _GAIN_STEP = 0.2
 _GAIN_DECAY = 0.8
 _MIN_GAIN = 0.01
-# From the momentum switch on, every 10th step ends the descent if it
-# moved no coordinate by more than this share of the largest coordinate
-# magnitude: the descent has reached its fixed point.
-_STEP_TOL = 1e-12
+_STEP_TOL = 1e-12  # the stop: a step's largest move, over the largest coordinate
 
 
 def check_perplexity(perplexity, m):
