@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distances
 from .distances import nearest
 from .errors import DataError
 from .separability import VAR_FLOOR
@@ -73,56 +74,103 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     are scale-invariant. Every row is picked once, in a seeded order, so
     the weights are deterministic. Distance ties go to the lower row index.
 
-    Each pick sums its (rows, features) differences row by row into
-    distances: that reduction fixes the bits of the distances, and summing
-    a transposed layout over its first axis rounds differently once there
-    are 8 or more features. It is most of the cost of a pick. The nearest
-    rows of every class then come from one selection over a
-    (classes, largest class) matrix of member rows, and the pick's terms are
-    folded into the weights in one sequential accumulation, bitwise the
-    update "weights -= hit term, then += each miss term by ascending
-    class".
+    Two passes give the weights of the per-pick definition bit for bit:
+    for each pick, the L1 distance to every row, the neighbors nearest
+    rows of each class by (distance, row), and "weights -= hit term, then
+    += each miss term by ascending class".
+
+    1. _nearest_table finds every row's nearest rows in each class. Every
+       row is picked once, so each pair's distance is computed once, not
+       once from each end: both ends read the same bits, as |u - v| =
+       |v - u| and each distance is the same C-ordered sum of m terms as a
+       pick's row of differences.
+    2. The picks are walked in blocks: each pick's hit and miss rows are
+       gathered from the table in update order, their differences summed
+       over the neighbors, and all terms folded into the weights in one
+       sequential accumulation, in the old order.
+
+    Memory: the (rows, classes, neighbors) int32 table, and blocks of at
+    most distances._BLOCK_BYTES (or one row's) whatever the class sizes,
+    so it grows linearly in the rows.
     """
     check_relieff_neighbors(d, neighbors)
     codes = d.label_codes()
     x = d.instances
     n, m = x.shape
-    counts = np.bincount(codes, minlength=d.n_classes)
+    n_classes = d.n_classes
+    counts = np.bincount(codes, minlength=n_classes)
 
     ranges = x.max(axis=0) - x.min(axis=0)
-    xn = x / np.where(ranges > 0.0, ranges, 1.0)
+    xn = np.divide(x, np.where(ranges > 0.0, ranges, 1.0), order="C")
     xn[:, ranges == 0.0] = 0.0  # constant features contribute no differences
 
     priors = counts / n
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=n, replace=False)
+    table = _nearest_table(xn, codes, n_classes, neighbors)
 
-    # (classes, largest class) member rows in ascending order, padded with
-    # the sentinel row n, whose distance is +inf
-    members = np.full((d.n_classes, counts.max()), n)
-    for c in range(d.n_classes):
-        members[c, : counts[c]] = np.flatnonzero(codes == c)
-    dist = np.empty(n + 1)
-    dist[n] = np.inf
     # row y: the hit class y, then the miss classes in ascending order; the
     # coefficient of the hit is -1, of a miss class c priors[c] / (1 - priors[y])
     update_order = np.array(
-        [[y] + [c for c in range(d.n_classes) if c != y] for y in range(d.n_classes)]
+        [[y] + [c for c in range(n_classes) if c != y] for y in range(n_classes)]
     )
     coefs = priors[update_order] / (1.0 - priors[:, None])
     coefs[:, 0] = -1.0
 
     weights = np.zeros(m)
     scale = 1.0 / (n * neighbors)
-    for a in picks:
-        diffs = np.abs(xn - xn[a])
-        dist[:n] = diffs.sum(axis=1)
-        dist[a] = np.inf  # a pick is not its own hit
+    step = max(1, distances._BLOCK_BYTES // (n_classes * neighbors * m * 8))
+    for start in range(0, n, step):
+        a = picks[start : start + step]
         y = codes[a]
-        near = np.take_along_axis(members, nearest(dist[members], neighbors), axis=1)
-        terms = coefs[y][:, None] * diffs[near[update_order[y]]].sum(axis=1) * scale
-        weights = np.add.accumulate(np.vstack([weights, terms]), axis=0)[-1]
+        near = table[a[:, None], update_order[y]]  # (picks, classes, neighbors)
+        diffs = np.abs(xn[near] - xn[a][:, None, None])
+        terms = coefs[y][:, :, None] * diffs.sum(axis=2) * scale
+        weights = np.add.accumulate(np.vstack([weights, terms.reshape(-1, m)]), axis=0)[-1]
     return _ranked(weights)
+
+
+def _nearest_table(xn, codes, n_classes, neighbors):
+    """(rows, classes, neighbors) int32: the neighbors nearest rows of each
+    class to each row by (L1 distance, row), a row not counting as its own.
+
+    Each class pair c1 <= c2 goes in blocks of c1's rows: a (block, |c2|)
+    distance matrix of at most _BLOCK_BYTES, from absolute_blocks. A c1 row
+    takes its nearest c2 rows from its row of the block; within c1 (c1 ==
+    c2) its own entry is +inf. If c1 < c2, a c2 row takes its nearest c1
+    rows from its column of the block, merged with those it kept from the
+    earlier blocks by one nearest() over [kept, new]: every kept row is
+    lower than every new one, so ties still go to the lower row.
+    """
+    # each class's rows, ascending, as int32 as the table
+    members = [np.flatnonzero(codes == c).astype(np.int32) for c in range(n_classes)]
+    table = np.empty((len(xn), n_classes, neighbors), dtype=np.int32)
+    for c1, rows1 in enumerate(members):
+        for c2 in range(c1, n_classes):
+            rows2 = members[c2]
+            x2 = xn[rows2]
+            kept_d = np.empty((len(rows2), 0))  # each c2 row's nearest c1 rows so far
+            kept_r = np.empty((len(rows2), 0), dtype=rows1.dtype)
+            step = max(1, distances._BLOCK_BYTES // (x2.shape[0] * 8))
+            for start in range(0, len(rows1), step):
+                block_rows = rows1[start : start + step]
+                block = np.empty((len(block_rows), len(rows2)))
+                done = 0  # filled part by part: no list of parts held
+                for part in distances.absolute_blocks(xn[block_rows], x2):
+                    block[done : done + len(part)] = part
+                    done += len(part)
+                if c1 == c2:
+                    block[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
+                table[block_rows, c2] = rows2[nearest(block, neighbors)]
+                if c1 < c2:
+                    new_d = np.hstack([kept_d, block.T])
+                    new_r = np.hstack([kept_r, np.broadcast_to(block_rows, block.T.shape)])
+                    near = nearest(new_d, min(neighbors, new_d.shape[1]))
+                    kept_d = np.take_along_axis(new_d, near, axis=1)
+                    kept_r = np.take_along_axis(new_r, near, axis=1)
+            if c1 < c2:
+                table[rows2, c1] = kept_r
+    return table
 
 
 def cfs_select(d, k):

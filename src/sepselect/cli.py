@@ -1,7 +1,8 @@
 """Command-line surface: selection, method comparison, baselines,
 evaluation and embedding export.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
+4 resource error (out of memory, in this process or a worker).
 Environment override: SEPSELECT_OUTPUT_DIR (default output directory).
 The report file is fully deterministic for a fixed config and seed;
 wall-clock timings go to timings.txt and stdout only.
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_RESOURCE = 4
 
 _BASELINES = ("relieff", "fisher", "cfs", "random")
 
@@ -163,6 +165,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # a worker's comes back through settle
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
     return EXIT_OK
 
 

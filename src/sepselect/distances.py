@@ -1,18 +1,24 @@
-"""Pairwise Euclidean distance matrices between point rows, and the
-nearest-first selection of row entries that neighbour searches share.
+"""Pairwise Euclidean (and, for ReliefF, L1) distances between point rows,
+and the nearest-first selection of row entries that neighbour searches
+share.
 
 One form, explicit differences: coincident rows are exactly 0, and no
 BLAS product is formed, so the bits do not depend on the thread count.
-squared_blocks is its one implementation. It takes a block of rows of a
-against every row of b at a time, whose (block rows, len(b), d) temporary
-holds at most max(one row's (len(b), d) array, _BLOCK_BYTES): larger
-blocks fall out of cache and measured slower.
+_difference_blocks is its one implementation: squared_blocks squares the
+differences, absolute_blocks takes their absolute values. It takes a block
+of rows of a against every row of b at a time, whose (block rows, len(b),
+d) temporary holds at most max(one row's (len(b), d) array, _BLOCK_BYTES),
+one temporary at a time: larger blocks fall out of cache and measured
+slower.
 
 Layout rule: the temporary takes the memory order of the inputs, as the
 per-row difference b - row does, and that order fixes the bits of the sums
 over the d columns. Each distance is bitwise the per-row
 np.sum((b - row) ** 2, axis=1) for inputs of any order, and, for C-ordered
-inputs, the one-shot np.sum((a[:, None] - b[None]) ** 2, axis=2).
+inputs, the one-shot np.sum((a[:, None] - b[None]) ** 2, axis=2); the same
+holds for np.abs in place of the square. For C-ordered inputs, a distance
+has the same bits from either end: |u - v| = |v - u| and (u - v)^2 =
+(v - u)^2 bit for bit, and both sums run over the same d terms in order.
 """
 
 import numpy as np
@@ -41,11 +47,23 @@ def squared_blocks(a, b):
     """Squared distances from consecutive blocks of the rows of a to every
     row of b by explicit differences, one (block rows, len(b)) array at a
     time."""
+    return _difference_blocks(a, b, np.square)
+
+
+def absolute_blocks(a, b):
+    """L1 distances from consecutive blocks of the rows of a to every row
+    of b, as squared_blocks: each is the sum of the row of |b - row|."""
+    return _difference_blocks(a, b, np.abs)
+
+
+def _difference_blocks(a, b, op):
     step = max(1, _BLOCK_BYTES // (b.nbytes or 1))
     for start in range(0, len(a), step):
         t = b[None] - a[start : start + step, None]
-        np.square(t, out=t)
-        yield t.sum(axis=2)
+        op(t, out=t)
+        block = t.sum(axis=2)
+        del t  # freed before the next block's temporary is made
+        yield block
 
 
 def cross(a, b):

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepselect import distances
 from sepselect.baselines import cfs_select, fisher_scores, random_select, relieff_weights
 from sepselect.dataio import Dataset
 from sepselect.errors import DataError
@@ -146,6 +150,35 @@ def relieff_problems(draw):
     return d, neighbors, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def multi_block_problems(draw):
+    """5-6 classes, one of which holds most rows, and 16-24 features:
+    sums of 8 or more terms, and distance ties between rows that land in
+    different row blocks once a block holds one or a few rows. Ties come
+    from integer grids, from copies of one row spread over the classes,
+    and from rows that hold one vector's values in other orders."""
+    neighbors = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(neighbors + 1, neighbors + 8), min_size=5, max_size=6))
+    sizes[draw(st.integers(0, len(sizes) - 1))] += draw(st.integers(40, 90))
+    n = sum(sizes)
+    m = draw(st.integers(16, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        x = rng.random((n, m))
+        x[0], x[1] = 0.0, 1.0
+        for i in rng.choice(np.arange(2, n), size=n // 4, replace=False):
+            x[i] = rng.permutation(x[2])
+    for i in rng.choice(n, size=draw(st.integers(0, 10)), replace=False):
+        x[i] = x[n - 1]
+    class_ids = [f"c{c}" for c in range(len(sizes))]
+    labels = np.repeat(np.array(class_ids, dtype=object), sizes)
+    labels = labels[rng.permutation(n)]
+    d = Dataset(x, labels, [f"f{j}" for j in range(m)], class_ids)
+    return d, neighbors, draw(st.integers(0, 2**32 - 1))
+
+
 class TestRelieff:
     @settings(max_examples=300, deadline=None)
     @given(problem=relieff_problems())
@@ -154,6 +187,38 @@ class TestRelieff:
         got = relieff_weights(d, neighbors=neighbors, seed=seed)
         expected = oracle_relieff_loop(d, neighbors, seed)
         assert np.array_equal(got.scores, expected)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(problem=multi_block_problems())
+    def test_bitwise_equal_to_pick_loop_over_many_blocks(self, block_rows, problem):
+        # distance blocks of block_rows rows against the largest class (more
+        # against smaller ones), so every pair with it spans several blocks
+        # and merges its other-class lists over them; one byte per block
+        # also makes one-row blocks everywhere and walks the picks one by one
+        d, neighbors, seed = problem
+        largest = np.bincount(d.label_codes()).max()
+        block_bytes = 1 if block_rows == 1 else block_rows * largest * 8
+        expected = oracle_relieff_loop(d, neighbors, seed)
+        with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
+            got = relieff_weights(d, neighbors=neighbors, seed=seed)
+        assert np.array_equal(got.scores, expected)
+
+    def test_peak_memory_grows_linearly_in_the_rows(self):
+        # two classes: an (|c1|, |c2|) distance array would grow 4x when
+        # the rows double, and make the peak grow more than 2.5x
+        def peak(n):
+            rng = np.random.default_rng(n)
+            d = _dataset(list(rng.random((6, n))), ["a", "b"] * (n // 2))
+            relieff_weights(d, neighbors=10, seed=0)  # warm-up: lazily imported helpers
+            tracemalloc.start()
+            try:
+                relieff_weights(d, neighbors=10, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) < 2.5 * peak(1000)
 
     def _six_instance(self):
         # feature 0 separates the classes perfectly; feature 1 is noise;

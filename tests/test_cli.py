@@ -562,6 +562,40 @@ def _stable_compare(outdir):
 
 
 @pytest.mark.usefixtures("bounded_and_no_child_left")
+class TestResourceErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_error_in_a_fold_exits_4_with_one_line(
+        self, workers, csv_path, tmp_path, capsys, monkeypatch, pin_workers
+    ):
+        # with 2 workers only the forked child runs out, so the error comes
+        # back through the pipe and settle
+        parent, real = os.getpid(), pipeline.embed
+
+        def exhausted(*args, **kwargs):
+            if workers == 1 or os.getpid() != parent:
+                raise MemoryError("Unable to allocate 8.00 GiB for an array")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "embed", exhausted)
+        pin_workers(workers)
+        assert main(_select_args(csv_path, str(tmp_path / "out"))) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err == "resource error: Unable to allocate 8.00 GiB for an array\n"
+        assert "Traceback" not in captured.out
+
+    def test_memory_error_without_a_message_says_out_of_memory(
+        self, csv_path, tmp_path, capsys, monkeypatch, pin_workers
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(pipeline, "embed", exhausted)
+        pin_workers(1)
+        assert main(_select_args(csv_path, str(tmp_path / "out"))) == cli.EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource error: out of memory\n"
+
+
+@pytest.mark.usefixtures("bounded_and_no_child_left")
 class TestCompareWorkers:
     """compare runs its repetitions side by side, one task each, after the
     selection's folds and final embedding."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepselect import distances
-from sepselect.distances import cross, nearest, squared_pairwise
+from sepselect.distances import absolute_blocks, cross, nearest, squared_pairwise
 
 
 def _points_with_duplicates():
@@ -61,6 +61,19 @@ class TestBlockedCross:
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
             got = cross(a, b)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, distances._BLOCK_BYTES, 10**12])
+    @settings(max_examples=100, deadline=None)
+    @given(problem=row_pairs())
+    def test_absolute_blocks_are_bitwise_one_shot_sums(self, block_bytes, problem):
+        # each L1 distance is its row's sum of |a_i - b_j|, from either end
+        a, b = problem
+        expected = np.sum(np.abs(a[:, None] - b[None]), axis=2)
+        with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
+            got = np.vstack(list(absolute_blocks(a, b)))
+            mirrored = np.vstack(list(absolute_blocks(b, a)))
+        assert got.tobytes() == expected.tobytes()
+        assert mirrored.T.tobytes() == expected.tobytes()
 
     def test_peak_memory_within_two_results_and_one_block(self):
         # M = 200 features in a 12-class pair space (C^2 = 144): the
@@ -123,3 +136,29 @@ class TestNearest:
         d, count = problem
         expected = np.argsort(d, axis=1, kind="stable")[:, :count]
         assert np.array_equal(nearest(d, count), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=tied_rows(), data=st.data())
+    def test_transposed_view_equals_stable_argsort_prefix(self, problem, data):
+        # the F-ordered view that reads a block of distances down its columns
+        t = problem[0].T
+        assert t.flags.f_contiguous
+        count = data.draw(st.integers(1, t.shape[1]))
+        expected = np.argsort(t, axis=1, kind="stable")[:, :count]
+        assert np.array_equal(nearest(t, count), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=tied_rows(), data=st.data())
+    def test_kept_then_new_columns_equal_stable_argsort_prefix(self, problem, data):
+        # the nearest of the columns before split, kept in (value, index)
+        # order, then the columns from split on: ties at the cut still go
+        # to the lower original column
+        d, count = problem
+        split = data.draw(st.integers(1, d.shape[1]))
+        kept = nearest(d[:, :split], min(count, split))
+        merged = np.hstack([np.take_along_axis(d, kept, axis=1), d[:, split:]])
+        near = nearest(merged, count)
+        from_kept = np.take_along_axis(kept, np.minimum(near, kept.shape[1] - 1), axis=1)
+        got = np.where(near < kept.shape[1], from_kept, near - kept.shape[1] + split)
+        expected = np.argsort(d, axis=1, kind="stable")[:, :count]
+        assert np.array_equal(got, expected)

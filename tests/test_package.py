@@ -72,3 +72,22 @@ def test_readme_states_every_tsne_schedule_constant():
         assert phrase.format(number(name)) in paragraph, name
     stop = f"from iteration {number('_MOMENTUM_SWITCH_ITER')} on, every 10th step is checked"
     assert stop in paragraph
+
+
+def test_readme_states_every_exit_code():
+    # each code with the word stderr's message starts with
+    meanings = {
+        "EXIT_OK": "success",
+        "EXIT_USAGE": "usage error",
+        "EXIT_DATA": "data error",
+        "EXIT_NUMERIC": "numerical failure",
+        "EXIT_RESOURCE": "resource error",
+    }
+    assert {name for name in vars(cli) if name.startswith("EXIT_")} == set(meanings)
+    assert len({getattr(cli, name) for name in meanings}) == len(meanings)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for text in (readme, cli.__doc__):
+        line = " ".join(text.split("Exit codes:", 1)[1].split("\n\n")[0].split())
+        for name, meaning in meanings.items():
+            assert f"{getattr(cli, name)} {meaning}" in line, name
