@@ -74,24 +74,28 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     are scale-invariant. Every row is picked once, in a seeded order, so
     the weights are deterministic. Distance ties go to the lower row index.
 
-    Two passes give the weights of the per-pick definition bit for bit:
-    for each pick, the L1 distance to every row, the neighbors nearest
-    rows of each class by (distance, row), and "weights -= hit term, then
-    += each miss term by ascending class".
+    Two passes give, bit for bit, the weights of the per-pick loop: for
+    each pick in turn, the L1 distance to every row as the sum of its row
+    of differences, the neighbors nearest rows of each class by (distance,
+    row), then "weights -= hit term, then += each miss term by ascending
+    class".
 
-    1. _nearest_table finds every row's nearest rows in each class. Every
-       row is picked once, so each pair's distance is computed once, not
-       once from each end: both ends read the same bits, as |u - v| =
-       |v - u| and each distance is the same C-ordered sum of m terms as a
-       pick's row of differences.
-    2. The picks are walked in blocks: each pick's hit and miss rows are
-       gathered from the table in update order, their differences summed
-       over the neighbors, and all terms folded into the weights in one
-       sequential accumulation, in the old order.
+    1. _nearest_table finds every row's nearest rows in each class. As
+       every row is picked once, it computes each pair's distance once,
+       not once from each end. Both ends read the same bits: |u - v| =
+       |v - u|, and each distance is the same sum of m terms in the same
+       order, over a C-ordered row of differences (the normalized rows are
+       C-ordered whatever the input's layout).
+    2. The picks are walked in blocks of a few. Each pick's hit and miss
+       rows are gathered from the table in update order, their differences
+       are summed over the neighbors as one pick's were, and all terms are
+       folded into the weights by one sequential accumulation, in the order
+       of the per-pick loop.
 
-    Memory: the (rows, classes, neighbors) int32 table, and blocks of at
-    most distances._BLOCK_BYTES (or one row's) whatever the class sizes,
-    so it grows linearly in the rows.
+    Cost: about n^2 m / 2 differences for n rows and m features, and about
+    C^2 nearest() selections for C classes. Memory: the (n, C, neighbors)
+    int32 table, and blocks of at most distances._BLOCK_BYTES (or one
+    row's) whatever the class sizes, so it grows linearly in n.
     """
     check_relieff_neighbors(d, neighbors)
     codes = d.label_codes()
@@ -124,7 +128,9 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
         a = picks[start : start + step]
         y = codes[a]
         near = table[a[:, None], update_order[y]]  # (picks, classes, neighbors)
-        diffs = np.abs(xn[near] - xn[a][:, None, None])
+        diffs = xn[near]
+        diffs -= xn[a][:, None, None]
+        np.abs(diffs, out=diffs)
         terms = coefs[y][:, :, None] * diffs.sum(axis=2) * scale
         weights = np.add.accumulate(np.vstack([weights, terms.reshape(-1, m)]), axis=0)[-1]
     return _ranked(weights)
@@ -142,7 +148,7 @@ def _nearest_table(xn, codes, n_classes, neighbors):
     earlier blocks by one nearest() over [kept, new]: every kept row is
     lower than every new one, so ties still go to the lower row.
     """
-    # each class's rows, ascending, as int32 as the table
+    # each class's rows in ascending order, int32 like the table
     members = [np.flatnonzero(codes == c).astype(np.int32) for c in range(n_classes)]
     table = np.empty((len(xn), n_classes, neighbors), dtype=np.int32)
     for c1, rows1 in enumerate(members):
@@ -150,27 +156,40 @@ def _nearest_table(xn, codes, n_classes, neighbors):
             rows2 = members[c2]
             x2 = xn[rows2]
             kept_d = np.empty((len(rows2), 0))  # each c2 row's nearest c1 rows so far
-            kept_r = np.empty((len(rows2), 0), dtype=rows1.dtype)
+            kept_r = np.empty((len(rows2), 0), dtype=np.int32)
             step = max(1, distances._BLOCK_BYTES // (x2.shape[0] * 8))
             for start in range(0, len(rows1), step):
                 block_rows = rows1[start : start + step]
-                block = np.empty((len(block_rows), len(rows2)))
-                done = 0  # filled part by part: no list of parts held
-                for part in distances.absolute_blocks(xn[block_rows], x2):
-                    block[done : done + len(part)] = part
-                    done += len(part)
+                block = _l1_distances(xn[block_rows], x2)
                 if c1 == c2:
                     block[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
                 table[block_rows, c2] = rows2[nearest(block, neighbors)]
                 if c1 < c2:
-                    new_d = np.hstack([kept_d, block.T])
-                    new_r = np.hstack([kept_r, np.broadcast_to(block_rows, block.T.shape)])
-                    near = nearest(new_d, min(neighbors, new_d.shape[1]))
-                    kept_d = np.take_along_axis(new_d, near, axis=1)
-                    kept_r = np.take_along_axis(new_r, near, axis=1)
+                    kept_d, kept_r = _merge_nearest(kept_d, kept_r, block.T, block_rows, neighbors)
+                del block  # freed before the next one is made
             if c1 < c2:
                 table[rows2, c1] = kept_r
     return table
+
+
+def _l1_distances(a, b):
+    """(len(a), len(b)) L1 distances, filled part by part from
+    absolute_blocks, so that no list of parts is held."""
+    out = np.empty((len(a), len(b)))
+    done = 0
+    for part in distances.absolute_blocks(a, b):
+        out[done : done + len(part)] = part
+        done += len(part)
+    return out
+
+
+def _merge_nearest(kept_d, kept_r, new_d, new_r, count):
+    """The count nearest of the columns [kept, new] of each row, as
+    (distances, rows); new_r holds the row of each column of new_d."""
+    d = np.hstack([kept_d, new_d])
+    r = np.hstack([kept_r, np.broadcast_to(new_r, new_d.shape)])
+    near = nearest(d, min(count, d.shape[1]))
+    return np.take_along_axis(d, near, axis=1), np.take_along_axis(r, near, axis=1)
 
 
 def cfs_select(d, k):
