@@ -86,9 +86,10 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
        |v - u|, and each distance is the same sum of m terms in the same
        order, over a C-ordered row of differences (the normalized rows are
        C-ordered whatever the input's layout).
-    2. The picks are walked in blocks of a few. Each pick's hit and miss
-       rows are gathered from the table in update order, their differences
-       are summed over the neighbors as one pick's were, and all terms are
+    2. The picks are walked in blocks, whose gathered differences take at
+       most distances._BLOCK_BYTES. Each pick's hit and miss rows are
+       gathered from the table in update order, their differences are
+       summed over the neighbors as one pick's were, and all terms are
        folded into the weights by one sequential accumulation, in the order
        of the per-pick loop.
 
@@ -101,8 +102,7 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     codes = d.label_codes()
     x = d.instances
     n, m = x.shape
-    n_classes = d.n_classes
-    counts = np.bincount(codes, minlength=n_classes)
+    counts = np.bincount(codes, minlength=d.n_classes)
 
     ranges = x.max(axis=0) - x.min(axis=0)
     xn = np.divide(x, np.where(ranges > 0.0, ranges, 1.0), order="C")
@@ -111,19 +111,19 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     priors = counts / n
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=n, replace=False)
-    table = _nearest_table(xn, codes, n_classes, neighbors)
+    table = _nearest_table(xn, codes, d.n_classes, neighbors)
 
     # row y: the hit class y, then the miss classes in ascending order; the
     # coefficient of the hit is -1, of a miss class c priors[c] / (1 - priors[y])
     update_order = np.array(
-        [[y] + [c for c in range(n_classes) if c != y] for y in range(n_classes)]
+        [[y] + [c for c in range(d.n_classes) if c != y] for y in range(d.n_classes)]
     )
     coefs = priors[update_order] / (1.0 - priors[:, None])
     coefs[:, 0] = -1.0
 
     weights = np.zeros(m)
     scale = 1.0 / (n * neighbors)
-    step = max(1, distances._BLOCK_BYTES // (n_classes * neighbors * m * 8))
+    step = max(1, distances._BLOCK_BYTES // (d.n_classes * neighbors * m * 8))
     for start in range(0, n, step):
         a = picks[start : start + step]
         y = codes[a]

@@ -75,7 +75,7 @@ def test_readme_states_every_tsne_schedule_constant():
 
 
 def test_readme_states_every_exit_code():
-    # each code with the word stderr's message starts with
+    # each code and the words its stderr message starts with
     meanings = {
         "EXIT_OK": "success",
         "EXIT_USAGE": "usage error",
