@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distances
-from .distances import nearest
+from .distances import absolute_blocks, assembled, nearest
 from .errors import DataError
 from .separability import VAR_FLOOR
 
@@ -160,7 +160,7 @@ def _nearest_table(xn, codes, n_classes, neighbors):
             step = max(1, distances._BLOCK_BYTES // (x2.shape[0] * 8))
             for start in range(0, len(rows1), step):
                 block_rows = rows1[start : start + step]
-                block = _l1_distances(xn[block_rows], x2)
+                block = assembled(absolute_blocks(xn[block_rows], x2), (len(block_rows), len(x2)))
                 if c1 == c2:
                     block[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
                 table[block_rows, c2] = rows2[nearest(block, neighbors)]
@@ -170,17 +170,6 @@ def _nearest_table(xn, codes, n_classes, neighbors):
             if c1 < c2:
                 table[rows2, c1] = kept_r
     return table
-
-
-def _l1_distances(a, b):
-    """(len(a), len(b)) L1 distances, filled part by part from
-    absolute_blocks, so that no list of parts is held."""
-    out = np.empty((len(a), len(b)))
-    done = 0
-    for part in distances.absolute_blocks(a, b):
-        out[done : done + len(part)] = part
-        done += len(part)
-    return out
 
 
 def _merge_nearest(kept_d, kept_r, new_d, new_r, count):

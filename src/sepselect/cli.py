@@ -2,7 +2,8 @@
 evaluation and embedding export.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
-4 resource error (out of memory, in this process or a worker).
+4 resource error (out of memory, in this process or a worker, or a worker
+killed by a signal).
 Environment override: SEPSELECT_OUTPUT_DIR (default output directory).
 The report file is fully deterministic for a fixed config and seed;
 wall-clock timings go to timings.txt and stdout only.
@@ -27,7 +28,7 @@ from .baselines import (
 )
 from .classify import DEFAULT_NEIGHBORS, check_neighbors, evaluate
 from .dataio import TRAIN_FRACTION, load_csv, minmax_normalize, split_train_test
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, ResourceError
 from .forkmap import run_tasks, settle
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
 from .separability import build_feature_space, pair_column_names
@@ -156,16 +157,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except MemoryError as exc:  # a worker's comes back through settle
+    except (MemoryError, ResourceError) as exc:  # a worker's come back through settle
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK

@@ -9,7 +9,8 @@ differences, absolute_blocks takes their absolute values. It takes a block
 of rows of a against every row of b at a time, whose (block rows, len(b),
 d) temporary holds at most max(one row's (len(b), d) array, _BLOCK_BYTES),
 one temporary at a time: larger blocks fall out of cache and measured
-slower.
+slower. Making it takes numpy's broadcasting buffers besides, a fixed
+67-119 KB (tracemalloc) whatever the block's size.
 
 Layout rule: the temporary takes the memory order of the inputs, as the
 per-row difference b - row does, and that order fixes the bits of the sums
@@ -66,10 +67,21 @@ def _difference_blocks(a, b, op):
         yield block
 
 
+def assembled(blocks, shape):
+    """The array of shape whose consecutive row blocks are blocks, each
+    written into it as it comes, so no list of blocks is held."""
+    out = np.empty(shape)
+    done = 0
+    for block in blocks:
+        out[done : done + len(block)] = block
+        done += len(block)
+    return out
+
+
 def cross(a, b):
     """(len(a), len(b)) distances between the rows of a and the rows of b
     by explicit differences (squared_blocks); exact 0 for coincident rows."""
-    d = np.vstack(list(squared_blocks(a, b)))
+    d = assembled(squared_blocks(a, b), (len(a), len(b)))
     return np.sqrt(d, out=d)
 
 

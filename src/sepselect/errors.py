@@ -13,6 +13,10 @@ class NumericalError(RuntimeError):
     """An iterative routine failed numerically (non-finite values, no bracket, ...)."""
 
 
+class ResourceError(RuntimeError):
+    """A worker process was killed by a signal (such as the kernel's OOM killer's)."""
+
+
 def require_positive(name, value):
     """Raise DataError unless value is a finite number above zero (nan and
     inf slip through a plain `value <= 0` test)."""

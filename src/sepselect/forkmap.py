@@ -15,7 +15,8 @@ Outcomes: (warnings, error, value), the task's warnings recorded as
 and its return value. settle() issues the warnings again, then raises
 the error or returns the value; settled in task order, outputs, warnings
 and errors do not depend on the worker count. A child that dies gives
-the task it died in a RuntimeError naming the task and the exit status.
+the task it died in an error naming the task: a ResourceError with the
+signal if a signal killed it, else a RuntimeError with the exit status.
 An outcome larger than the pipe's buffer holds its child until the
 calling process has run its own share and reads it. Every child is
 reaped before run_tasks returns or raises. multiprocessing and
@@ -28,6 +29,8 @@ import pickle
 import signal
 import sys
 import warnings
+
+from .errors import ResourceError
 
 
 def _worker_count(task_count):
@@ -110,8 +113,13 @@ def run_tasks(tasks, labels):
             exit_codes[pid] = code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             missing = [t for t in share if t not in outcomes]
             if code != 0 and missing:  # it died in missing[0]
-                died = f"the worker process of {labels[missing[0]]} exited with status {code}"
-                outcomes[missing[0]] = ([], RuntimeError(f"{died} without a result"), None)
+                worker = f"the worker process of {labels[missing[0]]}"
+                if code < 0:
+                    killed = f"killed by signal {-code} ({signal.Signals(-code).name})"
+                    error = ResourceError(f"{worker} was {killed} without a result")
+                else:
+                    error = RuntimeError(f"{worker} exited with status {code} without a result")
+                outcomes[missing[0]] = ([], error, None)
     finally:
         for pid, read_fd, _ in children:
             os.close(read_fd)

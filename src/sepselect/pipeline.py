@@ -1,7 +1,7 @@
 """End-to-end feature selection: separability matrix -> embedding ->
 per-k clustering -> cross-validated validity curve -> knee -> subset.
 
-Stages pass plain arrays: build_feature_space gives the (M, C^2)
+Stages pass plain arrays: build_feature_space gives the (M, C(C-1)/2)
 separability array, embed its (M, 2) coordinates, and the clustering and
 validity stages take those coordinates.
 

@@ -36,8 +36,8 @@ coordinates. Checking every step instead of every 10th costs about 1% of
 an embedding that never stops.
 
 Cost and memory, for M points. The squared distances between the input
-rows come from distances.squared_pairwise, about a third of the
-affinities' time at M=203, d=144: explicit differences, each pair once,
+rows come from distances.squared_pairwise, about a fifth of the
+affinities' time at M=203, d=66: explicit differences, each pair once,
 so their bits do not depend on the BLAS thread count and identical rows
 tie exactly, as the tie limit needs.
 The bandwidth search bisects all rows in lockstep: one step is a few

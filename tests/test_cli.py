@@ -1,5 +1,6 @@
 import inspect
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,9 @@ from sepselect import cli, pipeline
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _selection, build_parser, main
-from sepselect.dataio import split_train_test
+from sepselect.dataio import load_csv, minmax_normalize, split_train_test
 from sepselect.pipeline import SelectionConfig
+from sepselect.separability import build_feature_space, pair_column_names
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +419,25 @@ class TestEmbedOnly:
         assert len(emb_lines) == 9  # 8 features + header
         z_lines = open(os.path.join(outdir, "z.csv")).read().splitlines()
         assert z_lines[0].startswith("feature,pair_")
-        assert len(z_lines[0].split(",")) == 1 + 9  # 3 classes -> 9 pair columns
+        assert len(z_lines[0].split(",")) == 1 + 3  # 3 classes -> 3 pair columns
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_z_csv_holds_one_column_per_class_pair(self, n_classes, tmp_path):
+        d, _ = redundant_groups(
+            n_instances=12 * n_classes, n_classes=n_classes, group_sizes=[3, 3], seed=n_classes
+        )
+        path, outdir = str(tmp_path / "pairs.csv"), str(tmp_path / "emb")
+        write_csv(path, d)
+        args = [
+            "embed-only", "--input", path, "--label", "label", "--seed", "4",
+            "--perplexity", "2", "--tsne-iterations", "20", "--output-dir", outdir, "--export-z",
+        ]
+        assert main(args) == 0
+        data = minmax_normalize(load_csv(path, "label"))
+        header, *rows = open(os.path.join(outdir, "z.csv")).read().splitlines()
+        assert header.split(",") == ["feature"] + pair_column_names(data.class_ids)
+        z = np.array([[float(cell) for cell in row.split(",")[1:]] for row in rows])
+        assert np.array_equal(z, build_feature_space(data))
 
 
 def _compare_args(csv_path, outdir):
@@ -592,6 +612,27 @@ class TestResourceErrors:
         pin_workers(1)
         assert main(_select_args(csv_path, str(tmp_path / "out"))) == cli.EXIT_RESOURCE
         assert capsys.readouterr().err == "resource error: out of memory\n"
+
+
+    def test_worker_killed_by_a_signal_exits_4_with_one_line(
+        self, csv_path, tmp_path, capsys, monkeypatch, pin_workers
+    ):
+        # the forked child kills itself in its first task, fold 1; a worker
+        # that exits with a status stays a RuntimeError (TestCompareWorkers)
+        parent, real = os.getpid(), pipeline.embed
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "embed", killed)
+        pin_workers(2)
+        assert main(_select_args(csv_path, str(tmp_path / "out"))) == cli.EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "resource error: the worker process of fold 1 was killed by signal 9 (SIGKILL) "
+            "without a result\n"
+        )
 
 
 @pytest.mark.usefixtures("bounded_and_no_child_left")

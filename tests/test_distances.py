@@ -76,8 +76,8 @@ class TestBlockedCross:
         assert mirrored.T.tobytes() == expected.tobytes()
 
     def test_peak_memory_within_two_results_and_one_block(self):
-        # M = 200 features in a 12-class pair space (C^2 = 144): the
-        # one-shot (M, M, C^2) temporary took 46 MB and its square as much
+        # M = 200 rows of 144 columns: the one-shot (M, M, 144)
+        # temporary took 46 MB and its square as much
         m, pairs = 200, 144
         z = np.random.default_rng(0).random((m, pairs))
         cross(z[:10], z[:10])  # warm up first: lazily imported numpy helpers would count as peak

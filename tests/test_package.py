@@ -91,3 +91,12 @@ def test_readme_states_every_exit_code():
         line = " ".join(text.split("Exit codes:", 1)[1].split("\n\n")[0].split())
         for name, meaning in meanings.items():
             assert f"{getattr(cli, name)} {meaning}" in line, name
+
+
+def test_readme_states_one_column_per_class_pair():
+    # the feature space keeps each unordered class pair once, not the whole
+    # C x C matrix of each feature
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert re.search(r"C\^2|C²|C\s*[x×]\s*C\b", readme) is None
+    assert "(M, C(C-1)/2)" in readme

@@ -438,6 +438,6 @@ def _numpy_blas_name():
     reason="numpy's BLAS is not known to be OpenBLAS, which OPENBLAS_NUM_THREADS sets",
 )
 def test_embedding_does_not_depend_on_the_blas_thread_count():
-    # the wide workload's shape: affinities from 144 columns, then the descent
+    # the wide workload's 203 points: affinities from 144 columns, then the descent
     first, second = _digests_under_blas_threads(_EMBED_SCRIPT)
     assert first == second
