@@ -163,7 +163,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MemoryError, ResourceError) as exc:  # a worker's come back through settle
+    except (MemoryError, ResourceError) as exc:  # also a worker's, raised by settle
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     return EXIT_OK

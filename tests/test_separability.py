@@ -23,12 +23,9 @@ def _dataset(columns, labels):
     return Dataset(x, np.array(labels, dtype=object), [f"f{i}" for i in range(x.shape[1])], class_ids)
 
 
-def _jm(d, feature, pair=(0, 1)):
-    """One feature's JM distance of the class pair (c, c~), c < c~: its
-    feature-space column in row-major pair order."""
-    a, b = np.triu_indices(d.n_classes, 1)
-    column = np.flatnonzero((a == pair[0]) & (b == pair[1]))[0]
-    return build_feature_space(d)[feature, column]
+def _jm(d, feature):
+    """One feature's JM distance of classes 0 and 1: its first pair column."""
+    return build_feature_space(d)[feature, 0]
 
 
 def oracle_bhattacharyya(mu1, mu2, v1, v2):
