@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distances
-from .distances import absolute_blocks, assembled, nearest
+from .distances import absolute_blocks, assembled, nearest, row_blocks
 from .errors import DataError
 from .separability import VAR_FLOOR
 
@@ -86,17 +85,16 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
        |v - u|, and each distance is the same sum of m terms in the same
        order, over a C-ordered row of differences (the normalized rows are
        C-ordered whatever the input's layout).
-    2. The picks are walked in blocks, whose gathered differences take at
-       most distances._BLOCK_BYTES. Each pick's hit and miss rows are
-       gathered from the table in update order, their differences are
-       summed over the neighbors as one pick's were, and all terms are
-       folded into the weights by one sequential accumulation, in the order
-       of the per-pick loop.
+    2. The picks are walked in distances.row_blocks. Each pick's hit and
+       miss rows are gathered from the table in update order, their
+       differences are summed over the neighbors as one pick's were, and
+       all terms are folded into the weights by one sequential
+       accumulation, in the order of the per-pick loop.
 
     Cost: about n^2 m / 2 differences for n rows and m features, and about
     C^2 nearest() selections for C classes. Memory: the (n, C, neighbors)
-    int32 table, and blocks of at most distances._BLOCK_BYTES (or one
-    row's) whatever the class sizes, so it grows linearly in n.
+    int32 table, and the blocks of distances.row_blocks whatever the class
+    sizes, so it grows linearly in n.
     """
     check_relieff_neighbors(d, neighbors)
     codes = d.label_codes()
@@ -123,9 +121,8 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
 
     weights = np.zeros(m)
     scale = 1.0 / (n * neighbors)
-    step = max(1, distances._BLOCK_BYTES // (d.n_classes * neighbors * m * 8))
-    for start in range(0, n, step):
-        a = picks[start : start + step]
+    for part in row_blocks(n, d.n_classes * neighbors * m * 8):
+        a = picks[part]
         y = codes[a]
         near = table[a[:, None], update_order[y]]  # (picks, classes, neighbors)
         diffs = xn[near]
@@ -140,8 +137,8 @@ def _nearest_table(xn, codes, n_classes, neighbors):
     """(rows, classes, neighbors) int32: the neighbors nearest rows of each
     class to each row by (L1 distance, row), a row not counting as its own.
 
-    Each class pair c1 <= c2 goes in blocks of c1's rows: a (block, |c2|)
-    distance matrix of at most _BLOCK_BYTES, from absolute_blocks. A c1 row
+    Each class pair c1 <= c2 goes in the row_blocks of c1's rows: a
+    (block, |c2|) distance matrix from absolute_blocks. A c1 row
     takes its nearest c2 rows from its row of the block; within c1 (c1 ==
     c2) its own entry is +inf. If c1 < c2, a c2 row takes its nearest c1
     rows from its column of the block, merged with those it kept from the
@@ -157,12 +154,11 @@ def _nearest_table(xn, codes, n_classes, neighbors):
             x2 = xn[rows2]
             kept_d = np.empty((len(rows2), 0))  # each c2 row's nearest c1 rows so far
             kept_r = np.empty((len(rows2), 0), dtype=np.int32)
-            step = max(1, distances._BLOCK_BYTES // (x2.shape[0] * 8))
-            for start in range(0, len(rows1), step):
-                block_rows = rows1[start : start + step]
+            for part in row_blocks(len(rows1), len(x2) * 8):
+                block_rows = rows1[part]
                 block = assembled(absolute_blocks(xn[block_rows], x2), (len(block_rows), len(x2)))
                 if c1 == c2:
-                    block[np.arange(len(block)), np.arange(start, start + len(block))] = np.inf
+                    block[np.arange(len(block)), np.arange(part.start, part.stop)] = np.inf
                 table[block_rows, c2] = rows2[nearest(block, neighbors)]
                 if c1 < c2:
                     kept_d, kept_r = _merge_nearest(kept_d, kept_r, block.T, block_rows, neighbors)

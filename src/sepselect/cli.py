@@ -28,7 +28,7 @@ from .baselines import (
 )
 from .classify import DEFAULT_NEIGHBORS, check_neighbors, evaluate
 from .dataio import TRAIN_FRACTION, load_csv, minmax_normalize, split_train_test
-from .errors import DataError, NumericalError, ResourceError
+from .errors import DataError, NumericalError, ResourceError, require_integer
 from .forkmap import run_tasks, settle
 from .pipeline import SelectionConfig, index_curves, select_at_k, select_features
 from .separability import build_feature_space, pair_column_names
@@ -382,8 +382,7 @@ def cmd_compare(args):
     sel = _selection(args)
     data = _load_normalized(args)
     reps = args.repetitions
-    if reps < 1:
-        raise DataError("repetitions must be >= 1")
+    require_integer("repetitions", reps, 1)
     train0, test0 = split_train_test(data, sel.seed)
     # bad neighbor counts fail here, not after the selection's folds; every
     # split has as many training rows as the first, but its own class sizes

@@ -11,13 +11,14 @@ load_csv reads the header with csv.reader and the data rows with one
 np.loadtxt call, whose converter turns each label into its
 first-appearance code. Any file that call does not read exactly as the
 reference parser would (a parse error, a row of the wrong width, fewer
-than 2 rows, a non-finite value, or a line holding a character that numpy
-strips around a number and float() does not) is read again by the
-reference parser, a per-cell float() loop over csv.reader rows. It is the
-only path that raises, so every DataError names its data row and column,
-or for a row csv.reader rejects (a cell over csv.field_size_limit()) the
-row and the reader's reason. A file that is not UTF-8 is a DataError
-naming the first byte that does not decode.
+than 2 rows, a non-finite value, a line holding a character that numpy
+strips around a number and float() does not, or a line longer than
+csv.field_size_limit()) is read again by the reference parser, a per-cell
+float() loop over csv.reader rows. It is the only path that raises, so
+every DataError names its data row and column, or for a row csv.reader
+rejects (a cell over csv.field_size_limit()) the row and the reader's
+reason. A file that is not UTF-8 is a DataError naming the first byte that
+does not decode.
 
 Splits take their options as plain arguments: split_train_test a seed
 and a train fraction (default TRAIN_FRACTION), make_folds a fold count
@@ -166,8 +167,8 @@ def _read_body_numpy(fh, width, label_idx):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty body; the loop reports it
             table = np.loadtxt(
-                map(_check_line, fh), delimiter=",", quotechar='"', comments=None,
-                ndmin=2, converters={label_idx: code},
+                map(_check_line, fh, itertools.repeat(csv.field_size_limit())), delimiter=",",
+                quotechar='"', comments=None, ndmin=2, converters={label_idx: code},
             )
     except ValueError:
         return None
@@ -180,12 +181,13 @@ def _read_body_numpy(fh, width, label_idx):
     return instances, names[table[:, label_idx].astype(np.intp)]
 
 
-def _check_line(line):
-    """The line itself, or ValueError when it holds an ASCII information
-    separator (U+001C..U+001F): numpy strips those around a number as
-    whitespace, float() rejects them."""
-    if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-        raise ValueError("information separator in a data line")
+def _check_line(line, limit):
+    """The line itself, or ValueError when it is longer than limit (the csv
+    field size limit, which the reference parser applies to each cell and
+    numpy to none) or holds an ASCII information separator (U+001C..U+001F):
+    numpy strips those around a number as whitespace, float() rejects them."""
+    if len(line) > limit or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+        raise ValueError("a data line the reference parser must read")
     return line
 
 

@@ -5,12 +5,11 @@ share.
 One form, explicit differences: coincident rows are exactly 0, and no
 BLAS product is formed, so the bits do not depend on the thread count.
 _difference_blocks is its one implementation: squared_blocks squares the
-differences, absolute_blocks takes their absolute values. It takes a block
-of rows of a against every row of b at a time, whose (block rows, len(b),
-d) temporary holds at most max(one row's (len(b), d) array, _BLOCK_BYTES),
-one temporary at a time: larger blocks fall out of cache and measured
-slower. Making it takes numpy's broadcasting buffers besides, a fixed
-67-119 KB (tracemalloc) whatever the block's size.
+differences, absolute_blocks takes their absolute values. It takes the
+rows of a against every row of b in the blocks of row_blocks, the one
+block rule of every blocked loop in the package, one (block rows, len(b),
+d) temporary at a time. Making it takes numpy's broadcasting buffers
+besides, a fixed 67-119 KB (tracemalloc) whatever the block's size.
 
 Layout rule: the temporary takes the memory order of the inputs, as the
 per-row difference b - row does, and that order fixes the bits of the sums
@@ -27,6 +26,15 @@ import numpy as np
 _BLOCK_BYTES = 256 * 1024
 
 
+def row_blocks(n, row_bytes):
+    """The slices of range(n), max(1, _BLOCK_BYTES // row_bytes) rows each
+    (the last fewer), in which every blocked loop walks rows of row_bytes:
+    larger blocks fall out of cache and measured slower. The loops work
+    row by row, so block bounds never reach the bits."""
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def squared_pairwise(x):
     """(M, M) squared distances among the rows of x, whose square roots
     are cross(x, x) bit for bit. Each block of rows goes against the rows
@@ -34,13 +42,11 @@ def squared_pairwise(x):
     (b - a)^2, and a pair's d terms are summed in the same order."""
     m = len(x)
     d2 = np.empty((m, m))
-    step = max(1, _BLOCK_BYTES // (x.nbytes or 1))
-    for start in range(0, m, step):
-        stop = start + step
-        # one block: the rows up to stop take no more bytes than x
-        (block,) = squared_blocks(x[start:stop], x[:stop])
-        d2[start:stop, :stop] = block
-        d2[:start, start:stop] = block[:, :start].T
+    for rows in row_blocks(m, x.nbytes):
+        # one block: the rows up to rows.stop take no more bytes than x
+        (block,) = squared_blocks(x[rows], x[: rows.stop])
+        d2[rows, : rows.stop] = block
+        d2[: rows.start, rows] = block[:, : rows.start].T
     return d2
 
 
@@ -58,9 +64,8 @@ def absolute_blocks(a, b):
 
 
 def _difference_blocks(a, b, op):
-    step = max(1, _BLOCK_BYTES // (b.nbytes or 1))
-    for start in range(0, len(a), step):
-        t = b[None] - a[start : start + step, None]
+    for rows in row_blocks(len(a), b.nbytes):
+        t = b[None] - a[rows, None]
         op(t, out=t)
         block = t.sum(axis=2)
         del t  # freed before the next block's temporary is made

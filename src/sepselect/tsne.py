@@ -41,12 +41,12 @@ affinities' time at M=203, d=66: explicit differences, each pair once,
 so their bits do not depend on the BLAS thread count and identical rows
 tie exactly, as the tie limit needs.
 The bandwidth search bisects all rows in lockstep: one step is a few
-numpy passes over the rows still open, in blocks of about M/2 rows,
-instead of a Python loop per row and step; a row leaves once it
-converges, keeping only its beta, and every row's affinities are
-recomputed once at the end. It holds one (M, M - 1) matrix of shifted
-distances besides the block, so its peak is set by the distance matrix
-itself. The descent keeps P, the exaggerated P and two (M, M) buffers.
+numpy passes over the rows still open, in distances.row_blocks, instead
+of a Python loop per row and step; a row leaves once it converges,
+keeping only its beta, and every row's affinities are recomputed once at
+the end. It holds one (M, M - 1) matrix of shifted distances besides a
+block, so its peak is set by the distance matrix itself. The descent
+keeps P, exaggerated in place and back, and two (M, M) buffers.
 Every iteration makes two BLAS products and about nine passes over an
 (M, M) matrix, and allocates no such matrix: the rows
 [-2 v_i, 1 + |v_i|^2, 1] times [v_j, 1, |v_j|^2] write
@@ -76,7 +76,7 @@ import warnings
 
 import numpy as np
 
-from .distances import squared_pairwise
+from .distances import row_blocks, squared_pairwise
 from .errors import DataError, NumericalError, require_integer
 
 # Affinity floors: no off-diagonal entry below this enters a logarithm.
@@ -88,6 +88,8 @@ _PERPLEXITY_TOL = 1e-7  # absolute, in perplexity (2^entropy) units
 
 # The descent schedule (common exact t-SNE practice); fixed, not options.
 _OUTPUT_DIM = 2
+# a power of two: embed scales P by it in place and back exactly, as every
+# off-diagonal entry is at least P_FLOOR, far above the subnormal range
 _EARLY_EXAGGERATION = 4.0
 _EXAGGERATION_ITERS = 100
 _MOMENTUM_INITIAL = 0.5
@@ -226,22 +228,14 @@ def _normalized_kernel(p, beta):
 
 
 def _row_perplexities(shifted, rows, beta):
-    """Perplexity of the affinities of the given rows at their betas.
-
-    Rows go through in blocks of about M/2, so the block and its
-    temporaries take about one (M, M) matrix, or two when entries
-    underflow to 0.
-    """
+    """Perplexity of the affinities of the given rows at their betas,
+    taken in the blocks of distances.row_blocks."""
     out = np.empty(len(rows))
-    block = min(len(rows), shifted.shape[1] // 2 + 1)
-    buf = np.empty((block, shifted.shape[1]))
-    for start in range(0, len(rows), block):
-        part = rows[start : start + block]
-        # mode "raise" would stage the rows in a hidden copy
-        p = np.take(shifted, part, axis=0, out=buf[: len(part)], mode="clip")
-        h = _entropy_bits(_normalized_kernel(p, beta[part]))
+    for part in row_blocks(len(rows), shifted[0].nbytes):
+        block = rows[part]
+        h = _entropy_bits(_normalized_kernel(shifted[block], beta[block]))
         # one scalar power per row: np.power on the array rounds differently
-        out[start : start + block] = [2.0 ** x for x in h]
+        out[part] = [2.0 ** x for x in h]
     return out
 
 
@@ -381,12 +375,13 @@ def embed(z, perplexity, iterations, seed, initial_coords=None):
     velocity = np.zeros_like(coords)
     gains = np.ones_like(coords)
     learning_rate = float(m)
-    p_exaggerated = p * _EARLY_EXAGGERATION
+    p *= _EARLY_EXAGGERATION
     buffers = _step_buffers(m, _OUTPUT_DIM)
 
     for it in range(iterations):
-        p_eff = p_exaggerated if it < _EXAGGERATION_ITERS else p
-        grad = _gradient_step(p_eff, coords, *buffers)
+        if it == _EXAGGERATION_ITERS:
+            p /= _EARLY_EXAGGERATION
+        grad = _gradient_step(p, coords, *buffers)
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite gradient at iteration {it}")
         momentum = _MOMENTUM_INITIAL if it < _MOMENTUM_SWITCH_ITER else _MOMENTUM_FINAL

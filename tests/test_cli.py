@@ -14,6 +14,7 @@ from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _selection, build_parser, main
 from sepselect.dataio import load_csv, minmax_normalize, split_train_test
+from sepselect.errors import NumericalError
 from sepselect.pipeline import SelectionConfig
 from sepselect.separability import build_feature_space, pair_column_names
 
@@ -190,6 +191,27 @@ class TestSelect:
         outdir = str(tmp_path / "out")
         assert main(_select_args(csv_path, outdir, [flag, value])) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
+        assert calls == []
+
+    def test_three_features_give_too_short_a_k_sweep_before_any_fold(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        d, _ = redundant_groups(n_instances=30, n_classes=3, group_sizes=[2, 1], seed=2)
+        path = str(tmp_path / "three.csv")
+        write_csv(path, d)
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "out")
+        args = _select_args(path, outdir, ["--perplexity", "2"])
+        assert main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: k sweep [2, 3] too short for knee detection\n"
         assert calls == []
 
     def test_one_cpu_and_all_cpus_write_identical_artifacts(self, csv_path, tmp_path):
@@ -404,6 +426,14 @@ class TestEvaluateCommand:
         assert main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: feature 0 is listed more than once\n"
 
+    def test_empty_feature_list_is_data_error(self, csv_path, capsys):
+        args = [
+            "evaluate", "--input", csv_path, "--label", "label",
+            "--seed", "2", "--features", ",",
+        ]
+        assert main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: empty feature list\n"
+
 
 class TestEmbedOnly:
     def test_embedding_and_z_export(self, csv_path, tmp_path):
@@ -495,6 +525,24 @@ class TestCompare:
         args[args.index(flag) + 1] = value
         assert main(args) == cli.EXIT_DATA
         assert message in capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(outdir)
+
+    def test_zero_repetitions_fail_before_any_fold(self, csv_path, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = pipeline.build_feature_space
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_feature_space", counting)
+        outdir = str(tmp_path / "cmp")
+        args = _compare_args(csv_path, outdir)
+        args[args.index("--repetitions") + 1] = "0"
+        assert main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: repetitions must be an integer >= 1, got 0\n"
         assert calls == []
         assert not os.path.exists(outdir)
 
@@ -633,6 +681,28 @@ class TestResourceErrors:
             "resource error: the worker process of fold 1 was killed by signal 9 (SIGKILL) "
             "without a result\n"
         )
+
+
+@pytest.mark.usefixtures("bounded_and_no_child_left")
+class TestNumericalErrors:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numerical_error_in_a_fold_exits_3_with_one_line(
+        self, workers, csv_path, tmp_path, capsys, monkeypatch, pin_workers
+    ):
+        # with 2 workers only the forked child fails, so the error comes
+        # back through the pipe and settle
+        parent, real = os.getpid(), pipeline.embed
+        message = "non-finite gradient at iteration 7"
+
+        def diverged(*args, **kwargs):
+            if workers == 1 or os.getpid() != parent:
+                raise NumericalError(message)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "embed", diverged)
+        pin_workers(workers)
+        assert main(_select_args(csv_path, str(tmp_path / "out"))) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.usefixtures("bounded_and_no_child_left")

@@ -131,17 +131,27 @@ class TestLoadCsv:
         ):
             load_csv(path, "label")
 
-    def test_long_label_loads_through_numpy(self, tmp_path, monkeypatch):
-        label = "x" * 140000
-        path = _write(tmp_path, f"f1,f2,label\n1,2,a\n3,4,{label}\n5,6,b\n")
+    def test_long_label_fails_as_with_a_python_only_cell(self, tmp_path):
+        # a line over the csv field limit goes to the reference loop, so the
+        # file fails as it does with the `1_0` cell above
+        path = _write(tmp_path, f"f1,f2,label\n1,2,a\n3,4,{'x' * 140000}\n5,6,b\n")
+        with pytest.raises(
+            DataError, match=r"^data row 2: field larger than field limit \(131072\)$"
+        ):
+            load_csv(path, "label")
 
-        def loop_entered(*args):
-            raise AssertionError("the reference loop read a plain numeric CSV")
-
-        monkeypatch.setattr(dataio, "_read_body_loop", loop_entered)
+    def test_long_line_of_short_cells_loads(self, tmp_path):
+        # 160000 characters or more a line, no cell over the limit
+        m = 40000
+        header = ",".join(f"f{j}" for j in range(m))
+        path = _write(
+            tmp_path,
+            f"{header},label\n" + ",".join(["1.5"] * m) + ",a\n" + ",".join(["2.25"] * m) + ",b\n",
+        )
         d = load_csv(path, "label")
-        assert d.class_ids == ["a", label, "b"]
-        assert d.instances.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert d.class_ids == ["a", "b"]
+        assert d.instances.shape == (2, m)
+        assert set(d.instances[0]) == {1.5} and set(d.instances[1]) == {2.25}
 
     @pytest.mark.parametrize(
         "text",

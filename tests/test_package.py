@@ -100,3 +100,11 @@ def test_readme_states_one_column_per_class_pair():
     readme = (root / "README.md").read_text(encoding="utf-8")
     assert re.search(r"C\^2|C²|C\s*[x×]\s*C\b", readme) is None
     assert "(M, C(C-1)/2)" in readme
+
+
+def test_only_distances_names_the_block_size():
+    # every blocked loop takes its blocks from distances.row_blocks, so the
+    # block rule has one owner
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "sepselect"
+    naming = {p.name for p in package.glob("*.py") if "_BLOCK_BYTES" in p.read_text("utf-8")}
+    assert naming == {"distances.py"}
