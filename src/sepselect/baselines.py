@@ -83,8 +83,8 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
        every row is picked once, it computes each pair's distance once,
        not once from each end. Both ends read the same bits: |u - v| =
        |v - u|, and each distance is the same sum of m terms in the same
-       order, over a C-ordered row of differences (the normalized rows are
-       C-ordered whatever the input's layout).
+       order, numpy's pairwise order over a C-ordered row of differences
+       (the normalized rows are C-ordered whatever the input's layout).
     2. The picks are walked in distances.row_blocks. Each pick's hit and
        miss rows are gathered from the table in update order, their
        differences are summed over the neighbors as one pick's were, and

@@ -156,18 +156,22 @@ def load_csv(path, label_column):
 def _read_body_numpy(fh, width, label_idx):
     """(instances, labels) of the rows left in fh, read by np.loadtxt, or
     None when the reference loop must read the file: on a parse error, a
-    table that is not `width` cells wide, fewer than 2 rows or a non-finite
-    value. The label converter codes labels in first-appearance order."""
+    table that is not `width` cells wide, fewer than 2 rows, a non-finite
+    value or a label longer than csv.field_size_limit(). The label converter
+    codes labels in first-appearance order."""
     codes = {}
+    limit = csv.field_size_limit()
 
     def code(label):
+        if len(label) > limit:  # a quoted label over several lines, each within the limit
+            raise ValueError("a label the reference parser must read")
         return codes.setdefault(label, len(codes))
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty body; the loop reports it
             table = np.loadtxt(
-                map(_check_line, fh, itertools.repeat(csv.field_size_limit())), delimiter=",",
+                map(_check_line, fh, itertools.repeat(limit)), delimiter=",",
                 quotechar='"', comments=None, ndmin=2, converters={label_idx: code},
             )
     except ValueError:

@@ -140,6 +140,18 @@ class TestLoadCsv:
         ):
             load_csv(path, "label")
 
+    def test_multi_line_long_label_fails_as_with_a_python_only_cell(self, tmp_path):
+        # a quoted label of 140 lines, each within the limit, is over it as
+        # a whole: the numpy path hands it to the reference loop as well
+        label = "\n".join(["x" * 1000] * 140)
+        messages = []
+        for cell in ["1", "1_0"]:
+            path = _write(tmp_path, f'f1,f2,label\n1,2,a\n{cell},4,"{label}"\n5,6,b\n', f"{cell}.csv")
+            with pytest.raises(DataError) as err:
+                load_csv(path, "label")
+            messages.append(str(err.value))
+        assert messages == ["data row 2: field larger than field limit (131072)"] * 2
+
     def test_long_line_of_short_cells_loads(self, tmp_path):
         # 160000 characters or more a line, no cell over the limit
         m = 40000

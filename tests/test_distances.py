@@ -92,6 +92,62 @@ class TestBlockedCross:
         assert peak <= 2 * m * m * 8 + block + 64 * 1024
 
 
+@st.composite
+def laid_out_pairs(draw):
+    """row_pairs with a and b each C- or F-ordered."""
+    a, b = draw(row_pairs())
+    orders = draw(st.tuples(st.sampled_from("CF"), st.sampled_from("CF")))
+    return np.asarray(a, order=orders[0]), np.asarray(b, order=orders[1])
+
+
+class TestSumOrder:
+    @pytest.mark.parametrize("block_bytes", [1, 2048, distances._BLOCK_BYTES, 10**12])
+    @settings(max_examples=200, deadline=None)
+    @given(problem=laid_out_pairs())
+    def test_any_layout_is_the_one_shot_sum_at_every_block_size(self, block_bytes, problem):
+        # the order of the sums is chosen once from the whole of a and b,
+        # not from the layout of each block of a's rows
+        a, b = problem
+        squared = np.sum(np.square(b[None] - a[:, None]), axis=2)
+        absolute = np.sum(np.abs(b[None] - a[:, None]), axis=2)
+        with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
+            got = cross(a, b)
+            got_l1 = np.vstack(list(absolute_blocks(a, b)))
+        assert got.tobytes() == np.sqrt(squared).tobytes()
+        assert got_l1.tobytes() == absolute.tobytes()
+
+    @staticmethod
+    def _column_order(terms):
+        acc = terms[:, 0].copy()
+        for j in range(1, terms.shape[1]):
+            acc += terms[:, j]
+        return acc
+
+    @pytest.mark.parametrize("op", [np.square, np.abs])
+    def test_pairwise_emulation_pinned_to_numpy(self, op):
+        # every width of numpy's pairwise_sum: in order below 8, eight
+        # partial sums to 128, halves beyond, and one row far past them
+        rng = np.random.default_rng(9)
+        blocks = distances.squared_blocks if op is np.square else absolute_blocks
+        for d in [*range(1, 301), 9000]:
+            a = rng.normal(size=(1 if d == 9000 else 2, d)) * 10.0 ** rng.integers(-3, 4, d)
+            b = rng.normal(size=(3, d))
+            got = np.vstack(list(blocks(a, b)))
+            expected = np.array([np.add.reduce(op(b - row), axis=1) for row in a])
+            assert got.tobytes() == expected.tobytes(), d
+            af, bf = np.asfortranarray(a), np.asfortranarray(b)
+            got = np.vstack(list(blocks(af, bf)))
+            expected = np.array([self._column_order(op(bf - row)) for row in af])
+            assert got.tobytes() == expected.tobytes(), d
+
+    def test_no_columns_give_zero_distances(self):
+        # the empty sum, as np.sum gives it
+        x = np.empty((4, 0))
+        assert np.array_equal(squared_pairwise(x), np.zeros((4, 4)))
+        assert np.array_equal(cross(x, x[:2]), np.zeros((4, 2)))
+        assert np.array_equal(np.vstack(list(absolute_blocks(x, x))), np.zeros((4, 4)))
+
+
 class TestSquaredPairwise:
     def test_non_negative_with_zero_diagonal(self):
         d2 = squared_pairwise(_points_with_duplicates())
@@ -130,6 +186,22 @@ def tied_rows(draw):
 
 
 class TestNearest:
+    @pytest.mark.parametrize(
+        "d, lexsorted",
+        [
+            # every row has exactly count entries up to its cut: one
+            # stable argsort per row
+            (np.array([[5.0, 1.0, 4.0, 2.0, 3.0], [0.5, 0.1, np.inf, 0.3, 0.2]]), False),
+            # the second row ties at its cut (two 2.0 for the third place)
+            (np.array([[5.0, 1.0, 4.0, 2.0, 3.0], [2.0, 1.0, 2.0, 0.0, 7.0]]), True),
+        ],
+    )
+    def test_each_branch_is_the_stable_argsort_prefix(self, d, lexsorted):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+            got = nearest(d, 3)
+        assert spy.called == lexsorted
+        assert np.array_equal(got, np.argsort(d, axis=1, kind="stable")[:, :3])
+
     @settings(max_examples=400, deadline=None)
     @given(problem=tied_rows())
     def test_equals_stable_argsort_prefix(self, problem):
