@@ -8,9 +8,9 @@ is fixed here rather than configurable.
 
 KNN takes the squared distances of a block of test rows at once from
 distances.squared_blocks, on the column-subset arrays as they come from
-the subset indexing, so each distance is bitwise the per-row
-np.sum((train - row) ** 2, axis=1) (see the distances module). Distance
-ties go to the lower train index.
+the subset indexing: each distance adds the subset's squared differences
+in subset order (see the distances module). Distance ties go to the
+lower train index.
 """
 
 import time

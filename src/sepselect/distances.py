@@ -8,39 +8,35 @@ _difference_blocks is its one implementation: squared_blocks squares the
 differences, absolute_blocks takes their absolute values. It takes the
 rows of a against every row of b in the blocks of row_blocks, the one
 block rule of every blocked loop in the package, and builds each (block
-rows, len(b)) block one feature column at a time: column j adds
-op(b[:, j] - a[rows, j]) into an accumulator. No (rows, len(b), d)
+rows, len(b)) block one feature column at a time. No (rows, len(b), d)
 temporary is made.
 
-Order rule: the columns are added in the order in which numpy sums the
-last axis of the one-shot np.sum(op(b[None] - a[:, None]), axis=2), and
-that order is chosen once per call from the whole of a and b, so block
-bounds never reach the bits. If a and b are both C-ordered, that axis is
-contiguous and numpy sums it by its float64 pairwise_sum (_pairwise_sum);
-otherwise it adds the columns in order. So each distance is bitwise that
-one-shot sum for C- and F-ordered inputs in any mix, and bitwise the
-per-row np.sum(op(b - row), axis=1) when a and b share their order. A
-distance has the same bits from either end: |u - v| = |v - u| and
-(u - v)^2 = (v - u)^2 bit for bit, and both sums run over the same d
-terms in the same order.
+Order rule: the distance between a[i] and b[k] is the sum of
+op(b[k, j] - a[i, j]) added for j = 0, 1, ..., d - 1 in index order,
+whatever the layout of a and b, the block bounds, or the end it is
+computed from, since |u - v| = |v - u| and (u - v)^2 = (v - u)^2 bit for
+bit.
 
-Block rule: the pairwise tree is built pair by pair, so at most 6
-(rows, len(b)) arrays are alive at once up to d = 256 columns (one more
-for each further halving), and 2 in column order. A block takes the
-row_blocks of that many arrays of len(b) values, so its working set stays
-within the 256 KiB of every blocked loop.
+Block rule: while a block is summed, 3 (rows, len(b)) arrays are alive:
+the sum, the term being added, and the previous block, which the loop
+that takes the blocks still holds. A block takes the row_blocks of 3
+arrays of len(b) values, so its working set stays within the 256 KiB of
+every blocked loop.
 """
 
 import numpy as np
 
 _BLOCK_BYTES = 256 * 1024
+_LIVE = 3  # (rows, len(b)) arrays alive while a block is summed
 
 
 def row_blocks(n, row_bytes):
     """The slices of range(n), max(1, _BLOCK_BYTES // row_bytes) rows each
-    (the last fewer), in which every blocked loop walks rows of row_bytes:
-    larger blocks fall out of cache and measured slower. The loops work
-    row by row, so block bounds never reach the bits."""
+    (the last fewer), in which every blocked loop walks rows of row_bytes.
+    The loops work row by row, so block bounds never reach the bits. On
+    one CPU, 512 KiB and 1 MiB blocks measured faster than 256 KiB for
+    KNN and ReliefF, and 1 MiB slower for squared_pairwise of a (203, 66)
+    array."""
     step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
@@ -51,11 +47,10 @@ def squared_pairwise(x):
     up to its last only, and the rest is mirrored, exactly: (a - b)^2 =
     (b - a)^2, and a pair's d terms are summed in the same order."""
     m = len(x)
-    pairwise = x.flags.c_contiguous
     columns = np.ascontiguousarray(x.T)
     d2 = np.empty((m, m))
-    for rows in row_blocks(m, _live(pairwise) * m * 8):
-        block = _summed(x[rows], columns[:, : rows.stop], np.square, pairwise)
+    for rows in row_blocks(m, _LIVE * m * 8):
+        block = _summed(x[rows], columns[:, : rows.stop], np.square)
         d2[rows, : rows.stop] = block
         d2[: rows.start, rows] = block[:, : rows.start].T
     return d2
@@ -75,27 +70,22 @@ def absolute_blocks(a, b):
 
 
 def _difference_blocks(a, b, op):
-    pairwise = a.flags.c_contiguous and b.flags.c_contiguous
     columns = np.ascontiguousarray(b.T)
-    for rows in row_blocks(len(a), _live(pairwise) * len(b) * 8):
-        yield _summed(a[rows], columns, op, pairwise)
+    for rows in row_blocks(len(a), _LIVE * len(b) * 8):
+        yield _summed(a[rows], columns, op)
 
 
-def _live(pairwise):
-    """The (rows, len(b)) arrays alive at once while a block is summed (up
-    to 256 columns in pairwise order)."""
-    return 6 if pairwise else 2
-
-
-def _summed(a, columns, op, pairwise):
-    """The (len(a), columns.shape[1]) sums over the d columns of
-    op(b[:, j] - a[:, j]), where columns holds the columns of b as rows:
-    in numpy's pairwise order if pairwise, else in column order."""
-    t = np.empty((len(a), columns.shape[1]))
+def _summed(a, columns, op):
+    """The (len(a), columns.shape[1]) sums of op(b[:, j] - a[:, j]) added
+    for j = 0, 1, ..., d - 1 in index order, where columns holds the
+    columns of b as rows."""
     if a.shape[1] == 0:
-        return np.zeros_like(t)  # the empty sum, as np.sum gives it
-    sum_in_order = _pairwise_sum if pairwise else _column_sum
-    return sum_in_order(a, columns, op, range(a.shape[1]), t)
+        return np.zeros((len(a), columns.shape[1]))  # the empty sum, as np.sum gives it
+    acc = _terms(a, columns, op, 0, np.empty((len(a), columns.shape[1])))
+    t = np.empty_like(acc)
+    for j in range(1, a.shape[1]):
+        acc += _terms(a, columns, op, j, t)
+    return acc
 
 
 def _terms(a, columns, op, j, out):
@@ -103,47 +93,6 @@ def _terms(a, columns, op, j, out):
     np.copyto(out, columns[j])  # then subtracting measured faster than one broadcast subtract
     out -= a[:, j, None]
     return op(out, out=out)
-
-
-def _column_sum(a, columns, op, cols, t):
-    """The terms of the columns cols added in order into a new array;
-    t holds each term after the first."""
-    acc = _terms(a, columns, op, cols[0], np.empty_like(t))
-    for j in cols[1:]:
-        acc += _terms(a, columns, op, j, t)
-    return acc
-
-
-def _pairwise_sum(a, columns, op, cols, t):
-    """The terms of the columns cols summed as numpy's float64 pairwise_sum
-    sums n = len(cols) contiguous values: in order if n < 8; if n <= 128,
-    eight partial sums r_k over every eighth of the first n - n % 8 columns,
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    order; else each half, split at a multiple of 8, summed so."""
-    n = len(cols)
-    if n < 8:
-        return _column_sum(a, columns, op, cols, t)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        acc = _pairwise_sum(a, columns, op, cols[:half], t)
-        acc += _pairwise_sum(a, columns, op, cols[half:], t)
-        return acc
-    body = cols[: n - n % 8]
-    acc = _partial_sums(a, columns, op, body, 0, 4, t)
-    acc += _partial_sums(a, columns, op, body, 4, 4, t)
-    for j in cols[len(body) :]:
-        acc += _terms(a, columns, op, j, t)
-    return acc
-
-
-def _partial_sums(a, columns, op, body, k, width, t):
-    """The tree sum of the width partial sums r_k .. r_(k+width-1), built
-    pair by pair, so no more than two of them are alive at once."""
-    if width == 1:
-        return _column_sum(a, columns, op, body[k::8], t)
-    acc = _partial_sums(a, columns, op, body, k, width // 2, t)
-    acc += _partial_sums(a, columns, op, body, k + width // 2, width // 2, t)
-    return acc
 
 
 def assembled(blocks, shape):

@@ -106,7 +106,9 @@ def oracle_relieff_loop(d, neighbors, seed):
     scale = 1.0 / (n * neighbors)
     for a in picks:
         diffs = np.abs(xn - xn[a])
-        dvec = diffs.sum(axis=1)
+        dvec = np.zeros(n)  # the features' differences added in index order
+        for j in range(m):
+            dvec += diffs[:, j]
         order = np.argsort(dvec, kind="stable")  # distance ties: lower index
         ocodes = codes[order]
         y = codes[a]

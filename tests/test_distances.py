@@ -38,10 +38,19 @@ class TestCross:
         assert d[0, 1] == np.sqrt(np.sum((x[0] - x[5]) ** 2))
 
 
+def in_index_order(terms):
+    """The sums over the last axis of terms, adding its entries in index
+    order: the one summation order of every distance."""
+    acc = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        acc += terms[..., j]
+    return acc
+
+
 @st.composite
 def row_pairs(draw):
     """C-ordered a and b whose rows repeat within a and between a and b;
-    up to 40 columns, so the sums of 8 or more terms are pairwise."""
+    up to 40 columns, so a sum in any other order rounds differently."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 40))
     pool = rng.random((draw(st.integers(1, 12)), d))
@@ -57,7 +66,7 @@ class TestBlockedCross:
     def test_bitwise_equal_to_one_shot_differences(self, block_bytes, problem):
         # one row of a per block, the default blocks, all of a in one block
         a, b = problem
-        expected = np.sqrt(np.sum((a[:, None] - b[None]) ** 2, axis=2))
+        expected = np.sqrt(in_index_order((a[:, None] - b[None]) ** 2))
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
             got = cross(a, b)
         assert got.tobytes() == expected.tobytes()
@@ -68,7 +77,7 @@ class TestBlockedCross:
     def test_absolute_blocks_are_bitwise_one_shot_sums(self, block_bytes, problem):
         # each L1 distance is its row's sum of |a_i - b_j|, from either end
         a, b = problem
-        expected = np.sum(np.abs(a[:, None] - b[None]), axis=2)
+        expected = in_index_order(np.abs(a[:, None] - b[None]))
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
             got = np.vstack(list(absolute_blocks(a, b)))
             mirrored = np.vstack(list(absolute_blocks(b, a)))
@@ -105,40 +114,32 @@ class TestSumOrder:
     @settings(max_examples=200, deadline=None)
     @given(problem=laid_out_pairs())
     def test_any_layout_is_the_one_shot_sum_at_every_block_size(self, block_bytes, problem):
-        # the order of the sums is chosen once from the whole of a and b,
-        # not from the layout of each block of a's rows
+        # one order of the sums, whatever the layout of a, of b and of
+        # each block of a's rows
         a, b = problem
-        squared = np.sum(np.square(b[None] - a[:, None]), axis=2)
-        absolute = np.sum(np.abs(b[None] - a[:, None]), axis=2)
+        squared = in_index_order(np.square(b[None] - a[:, None]))
+        absolute = in_index_order(np.abs(b[None] - a[:, None]))
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
             got = cross(a, b)
             got_l1 = np.vstack(list(absolute_blocks(a, b)))
         assert got.tobytes() == np.sqrt(squared).tobytes()
         assert got_l1.tobytes() == absolute.tobytes()
 
-    @staticmethod
-    def _column_order(terms):
-        acc = terms[:, 0].copy()
-        for j in range(1, terms.shape[1]):
-            acc += terms[:, j]
-        return acc
-
     @pytest.mark.parametrize("op", [np.square, np.abs])
-    def test_pairwise_emulation_pinned_to_numpy(self, op):
-        # every width of numpy's pairwise_sum: in order below 8, eight
-        # partial sums to 128, halves beyond, and one row far past them
+    def test_index_order_at_every_width(self, op):
+        # every width up to 300, past those at which numpy's own float64
+        # reduction regroups its terms (8 and 128), and one row far past
+        # them, in both layouts; the scales spread by 10^6 so that any
+        # other order rounds apart
         rng = np.random.default_rng(9)
         blocks = distances.squared_blocks if op is np.square else absolute_blocks
         for d in [*range(1, 301), 9000]:
             a = rng.normal(size=(1 if d == 9000 else 2, d)) * 10.0 ** rng.integers(-3, 4, d)
             b = rng.normal(size=(3, d))
-            got = np.vstack(list(blocks(a, b)))
-            expected = np.array([np.add.reduce(op(b - row), axis=1) for row in a])
-            assert got.tobytes() == expected.tobytes(), d
-            af, bf = np.asfortranarray(a), np.asfortranarray(b)
-            got = np.vstack(list(blocks(af, bf)))
-            expected = np.array([self._column_order(op(bf - row)) for row in af])
-            assert got.tobytes() == expected.tobytes(), d
+            expected = in_index_order(op(b[None] - a[:, None]))
+            for order in "CF":
+                got = np.vstack(list(blocks(np.asarray(a, order=order), np.asarray(b, order=order))))
+                assert got.tobytes() == expected.tobytes(), (d, order)
 
     def test_no_columns_give_zero_distances(self):
         # the empty sum, as np.sum gives it

@@ -108,3 +108,13 @@ def test_only_distances_names_the_block_size():
     package = pathlib.Path(__file__).resolve().parent.parent / "src" / "sepselect"
     naming = {p.name for p in package.glob("*.py") if "_BLOCK_BYTES" in p.read_text("utf-8")}
     assert naming == {"distances.py"}
+
+
+def test_distances_sum_in_one_order():
+    # every distance adds its feature columns in index order: no branch on
+    # the inputs' memory layout, and no second summation order
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "sepselect"
+    source = (package / "distances.py").read_text("utf-8")
+    for name in ("c_contiguous", "f_contiguous", "flags"):
+        assert name not in source, name
+    assert re.search(r"\bdef _pairwise_sum\b", source) is None

@@ -34,8 +34,12 @@ _PERPLEXITY_TOL = 1e-7
 
 
 def squared_pairwise(x):
-    # explicit differences, one row at a time
-    return np.array([np.sum((x - row) ** 2, axis=1) for row in x])
+    # explicit differences, their squares added one column at a time in
+    # index order
+    d2 = np.zeros((len(x), len(x)))
+    for j in range(x.shape[1]):
+        d2 += (x[:, j, None] - x[None, :, j]) ** 2
+    return d2
 
 
 def _row_affinities(d2_row, beta):
