@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import absolute_blocks, assembled, nearest, row_blocks
-from .errors import DataError
+from .distances import difference_sums, nearest, row_blocks
+from .errors import DataError, require_integer
 from .separability import VAR_FLOOR
 
 DEFAULT_RELIEFF_NEIGHBORS = 10
@@ -23,8 +23,7 @@ class RankedFeatures:
     order: np.ndarray
 
     def top(self, k):
-        if not 1 <= k <= len(self.order):
-            raise DataError(f"k must be in [1, {len(self.order)}], got {k}")
+        require_integer("k", k, 1, len(self.order))
         return self.order[:k].tolist()
 
 
@@ -80,20 +79,23 @@ def relieff_weights(d, neighbors=DEFAULT_RELIEFF_NEIGHBORS, seed=0):
     class".
 
     1. _nearest_table finds every row's nearest rows in each class. As
-       every row is picked once, it computes each pair's distance once,
-       not once from each end. Both ends read the same bits: |u - v| =
-       |v - u|, and each distance is the same sum of m terms in the same
-       order, the features' index order (see the distances module).
+       every row is picked once, it computes the distance of each pair of
+       rows from two classes once, not once from each end; a pair within
+       one class is computed from both ends, as that class's block spans
+       its whole square. Both ends read the same bits: |u - v| = |v - u|,
+       and each distance is the same sum of m terms in the same order,
+       the features' index order (see the distances module).
     2. The picks are walked in distances.row_blocks. Each pick's hit and
        miss rows are gathered from the table in update order, their
        differences are summed over the neighbors as one pick's were, and
        all terms are folded into the weights by one sequential
        accumulation, in the order of the per-pick loop.
 
-    Cost: about n^2 m / 2 differences for n rows and m features, and about
-    C^2 nearest() selections for C classes. Memory: the (n, C, neighbors)
-    int32 table, and the blocks of distances.row_blocks whatever the class
-    sizes, so it grows linearly in n.
+    Cost: about (n^2 + sum of |c|^2) m / 2 differences for n rows, m
+    features and C classes c of |c| rows, and about C^2 nearest()
+    selections. Memory: the (n, C, neighbors) int32 table, and the blocks
+    of distances.row_blocks whatever the class sizes, so it grows
+    linearly in n.
     """
     check_relieff_neighbors(d, neighbors)
     codes = d.label_codes()
@@ -137,12 +139,13 @@ def _nearest_table(xn, codes, n_classes, neighbors):
     class to each row by (L1 distance, row), a row not counting as its own.
 
     Each class pair c1 <= c2 goes in the row_blocks of c1's rows: a
-    (block, |c2|) distance matrix from absolute_blocks. A c1 row
-    takes its nearest c2 rows from its row of the block; within c1 (c1 ==
-    c2) its own entry is +inf. If c1 < c2, a c2 row takes its nearest c1
-    rows from its column of the block, merged with those it kept from the
-    earlier blocks by one nearest() over [kept, new]: every kept row is
-    lower than every new one, so ties still go to the lower row.
+    (block, |c2|) distance matrix from distances.difference_sums. A c1
+    row takes its nearest c2 rows from its row of the block; within c1
+    (c1 == c2) its own entry is +inf. If c1 < c2, a c2 row takes its
+    nearest c1 rows from its column of the block, merged with those it
+    kept from the earlier blocks by one nearest() over [kept, new]: every
+    kept row is lower than every new one, so ties still go to the lower
+    row.
     """
     # each class's rows in ascending order, int32 like the table
     members = [np.flatnonzero(codes == c).astype(np.int32) for c in range(n_classes)]
@@ -155,7 +158,7 @@ def _nearest_table(xn, codes, n_classes, neighbors):
             kept_r = np.empty((len(rows2), 0), dtype=np.int32)
             for part in row_blocks(len(rows1), len(x2) * 8):
                 block_rows = rows1[part]
-                block = assembled(absolute_blocks(xn[block_rows], x2), (len(block_rows), len(x2)))
+                block = difference_sums(xn[block_rows], x2, np.abs)
                 if c1 == c2:
                     block[np.arange(len(block)), np.arange(part.start, part.stop)] = np.inf
                 table[block_rows, c2] = rows2[nearest(block, neighbors)]
@@ -182,8 +185,7 @@ def cfs_select(d, k):
     grown to exactly k features. Zero-variance columns correlate 0.
     """
     m = d.n_features
-    if not 1 <= k <= m:
-        raise DataError(f"k must be in [1, {m}], got {k}")
+    require_integer("k", k, 1, m)
     x = d.instances
     label = d.label_codes().astype(float)
 
@@ -223,7 +225,6 @@ def cfs_select(d, k):
 
 def random_select(m, k, seed):
     """Uniform sample of k distinct feature indices, seeded."""
-    if not 1 <= k <= m:
-        raise DataError(f"k must be in [1, {m}], got {k}")
+    require_integer("k", k, 1, m)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(m, size=k, replace=False)).tolist()

@@ -6,8 +6,9 @@ class present in the truth or the predictions contributes equally,
 regardless of support. Method comparisons depend on this reading, so it
 is fixed here rather than configurable.
 
-KNN takes the squared distances of a block of test rows at once from
-distances.squared_blocks, on the column-subset arrays as they come from
+KNN walks the test rows in the blocks of distances.row_blocks, and takes
+a block's squared distances to every train row at once from
+distances.difference_sums, on the column-subset arrays as they come from
 the subset indexing: each distance adds the subset's squared differences
 in subset order (see the distances module). Distance ties go to the
 lower train index.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import nearest, squared_blocks
+from .distances import difference_sums, nearest, row_blocks
 from .errors import DataError
 
 DEFAULT_NEIGHBORS = 5
@@ -55,8 +56,8 @@ def knn_predict(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
     b = test.instances[:, subset]
     labels = train.labels
     preds = []
-    for d2 in squared_blocks(b, a):
-        for order in nearest(d2, n_neighbors):
+    for rows in row_blocks(len(b), len(a) * 8):
+        for order in nearest(difference_sums(b[rows], a, np.square), n_neighbors):
             preds.append(_majority(labels[order]))
     return np.array(preds, dtype=object)
 

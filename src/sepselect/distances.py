@@ -4,11 +4,10 @@ share.
 
 One form, explicit differences: coincident rows are exactly 0, and no
 BLAS product is formed, so the bits do not depend on the thread count.
-_difference_blocks is its one implementation: squared_blocks squares the
-differences, absolute_blocks takes their absolute values. It takes the
-rows of a against every row of b in the blocks of row_blocks, the one
-block rule of every blocked loop in the package, and builds each (block
-rows, len(b)) block one feature column at a time. No (rows, len(b), d)
+difference_sums is the one writer: it walks the rows of a in the blocks
+of row_blocks, the one block rule of every blocked loop in the package,
+and sums op(b - a), op being np.square or np.abs, one feature column at
+a time into each block's rows of the result. No (rows, len(b), d)
 temporary is made.
 
 Order rule: the distance between a[i] and b[k] is the sum of
@@ -17,17 +16,17 @@ whatever the layout of a and b, the block bounds, or the end it is
 computed from, since |u - v| = |v - u| and (u - v)^2 = (v - u)^2 bit for
 bit.
 
-Block rule: while a block is summed, 3 (rows, len(b)) arrays are alive:
-the sum, the term being added, and the previous block, which the loop
-that takes the blocks still holds. A block takes the row_blocks of 3
-arrays of len(b) values, so its working set stays within the 256 KiB of
-every blocked loop.
+Block rule: while a block is summed, 2 (rows, len(b)) arrays are alive:
+the sum, which is the block's own rows of the array that keeps it, and
+the term being added; no earlier block is held beside them. A block
+takes the row_blocks of 2 arrays of len(b) values, so its working set
+stays within the 256 KiB of every blocked loop.
 """
 
 import numpy as np
 
 _BLOCK_BYTES = 256 * 1024
-_LIVE = 3  # (rows, len(b)) arrays alive while a block is summed
+_LIVE = 2  # (rows, len(b)) arrays alive while a block is summed: the sum and one term
 
 
 def row_blocks(n, row_bytes):
@@ -45,47 +44,41 @@ def squared_pairwise(x):
     """(M, M) squared distances among the rows of x, whose square roots
     are cross(x, x) bit for bit. Each block of rows goes against the rows
     up to its last only, and the rest is mirrored, exactly: (a - b)^2 =
-    (b - a)^2, and a pair's d terms are summed in the same order."""
+    (b - a)^2, and a pair's d terms are summed in the same order. Blocks
+    are summed contiguous and copied, faster than into d2's strided rows."""
     m = len(x)
     columns = np.ascontiguousarray(x.T)
     d2 = np.empty((m, m))
     for rows in row_blocks(m, _LIVE * m * 8):
-        block = _summed(x[rows], columns[:, : rows.stop], np.square)
+        block = np.empty((rows.stop - rows.start, rows.stop))
+        _summed(x[rows], columns[:, : rows.stop], np.square, block)
         d2[rows, : rows.stop] = block
         d2[: rows.start, rows] = block[:, : rows.start].T
     return d2
 
 
-def squared_blocks(a, b):
-    """Squared distances from consecutive blocks of the rows of a to every
-    row of b by explicit differences, one (block rows, len(b)) array at a
-    time."""
-    return _difference_blocks(a, b, np.square)
-
-
-def absolute_blocks(a, b):
-    """L1 distances from consecutive blocks of the rows of a to every row
-    of b, as squared_blocks: each is the sum of the row of |b - row|."""
-    return _difference_blocks(a, b, np.abs)
-
-
-def _difference_blocks(a, b, op):
+def difference_sums(a, b, op):
+    """(len(a), len(b)) sums of op(b[k, j] - a[i, j]) over the features j
+    in index order: squared distances for op np.square, L1 distances for
+    np.abs. Each block of a's rows is summed into its rows of the result."""
     columns = np.ascontiguousarray(b.T)
+    out = np.empty((len(a), len(b)))
     for rows in row_blocks(len(a), _LIVE * len(b) * 8):
-        yield _summed(a[rows], columns, op)
+        _summed(a[rows], columns, op, out[rows])
+    return out
 
 
-def _summed(a, columns, op):
-    """The (len(a), columns.shape[1]) sums of op(b[:, j] - a[:, j]) added
-    for j = 0, 1, ..., d - 1 in index order, where columns holds the
-    columns of b as rows."""
+def _summed(a, columns, op, acc):
+    """acc, a C-contiguous (len(a), columns.shape[1]) array, filled with
+    the sums of op(b[:, j] - a[:, j]) added for j = 0, 1, ..., d - 1 in
+    index order, where columns holds the columns of b as rows."""
     if a.shape[1] == 0:
-        return np.zeros((len(a), columns.shape[1]))  # the empty sum, as np.sum gives it
-    acc = _terms(a, columns, op, 0, np.empty((len(a), columns.shape[1])))
+        acc.fill(0.0)  # the empty sum, as np.sum gives it
+        return
+    _terms(a, columns, op, 0, acc)
     t = np.empty_like(acc)
     for j in range(1, a.shape[1]):
         acc += _terms(a, columns, op, j, t)
-    return acc
 
 
 def _terms(a, columns, op, j, out):
@@ -95,21 +88,10 @@ def _terms(a, columns, op, j, out):
     return op(out, out=out)
 
 
-def assembled(blocks, shape):
-    """The array of shape whose consecutive row blocks are blocks, each
-    written into it as it comes, so no list of blocks is held."""
-    out = np.empty(shape)
-    done = 0
-    for block in blocks:
-        out[done : done + len(block)] = block
-        done += len(block)
-    return out
-
-
 def cross(a, b):
     """(len(a), len(b)) distances between the rows of a and the rows of b
-    by explicit differences (squared_blocks); exact 0 for coincident rows."""
-    d = assembled(squared_blocks(a, b), (len(a), len(b)))
+    by explicit differences; exact 0 for coincident rows."""
+    d = difference_sums(a, b, np.square)
     return np.sqrt(d, out=d)
 
 

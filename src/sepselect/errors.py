@@ -24,8 +24,10 @@ def require_positive(name, value):
         raise DataError(f"{name} must be a positive finite number, got {value}")
 
 
-def require_integer(name, value, minimum):
+def require_integer(name, value, minimum, maximum=None):
     """Raise DataError unless value is an integer (a bool is not) of at
-    least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise DataError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    least minimum and, if maximum is given, at most maximum."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and minimum <= value and (maximum is None or value <= maximum)):
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise DataError(f"{name} must be an integer {bounds}, got {value!r}")

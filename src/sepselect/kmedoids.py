@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import squared_blocks, squared_pairwise
-from .errors import DataError, NumericalError
+from .distances import difference_sums, squared_pairwise
+from .errors import DataError, NumericalError, require_integer
 
 _MAX_SWAP_ROUNDS = 300
 _IMPROVEMENT_EPS = 1e-12
@@ -77,14 +77,13 @@ def kmeanspp_init(points, k, seed):
     """
     pts = _as_matrix(points)
     m = pts.shape[0]
-    if not 2 <= k <= m:
-        raise DataError(f"k must be in [2, {m}], got {k}")
+    require_integer("k", k, 2, m)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(m))]
     d2 = np.full(m, np.inf)
     for _ in range(k - 1):
         # the newest center's squared distances; exactly 0 at chosen points
-        np.minimum(d2, next(squared_blocks(pts[chosen[-1:]], pts))[0], out=d2)
+        np.minimum(d2, difference_sums(pts[chosen[-1:]], pts, np.square)[0], out=d2)
         total = d2.sum()
         if not np.isfinite(total):
             raise NumericalError("non-finite coordinates or overflowing squared distances")
@@ -110,9 +109,7 @@ def _checked_distances(points, k):
     """(points as a matrix, their (M, M) distance matrix), after checking
     that k lies in [2, M] and every coordinate is finite."""
     pts = _as_matrix(points)
-    m = pts.shape[0]
-    if not 2 <= k <= m:
-        raise DataError(f"k must be in [2, {m}], got {k}")
+    require_integer("k", k, 2, len(pts))
     if not np.all(np.isfinite(pts)):
         raise NumericalError("non-finite coordinates")
     return pts, np.sqrt(squared_pairwise(pts))

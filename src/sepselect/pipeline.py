@@ -177,12 +177,13 @@ def _fold_values(train, tr_idx, val_idx, cfg, f, k_hi):
     part's rows tr_idx (seed base + 1 + f) clustered by one pam_sweep, each
     k's medoid features scored on the validation part's rows val_idx. Each
     part's rows are copied here, in the task, and dropped once its
-    separability array is built."""
+    separability array is built. The validation part's (M, M) distances
+    come after the sweep, so they are not held through it or the embedding."""
     z_tr = build_feature_space(train.select_rows(tr_idx))
-    z_val = build_feature_space(train.select_rows(val_idx))
-    d_val = np.sqrt(squared_pairwise(z_val))
     coords = embed(z_tr, cfg.perplexity, cfg.tsne_iterations, cfg.seed + 1 + f)
-    return np.array([validation_mss(d_val, c.medoids) for c in pam_sweep(coords, k_hi)])
+    sweep = pam_sweep(coords, k_hi)
+    d_val = np.sqrt(squared_pairwise(build_feature_space(train.select_rows(val_idx))))
+    return np.array([validation_mss(d_val, c.medoids) for c in sweep])
 
 
 def select_features(train, cfg):

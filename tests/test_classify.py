@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepselect import distances
+from sepselect import classify, distances
 from sepselect.classify import (
     _majority,
     accuracy,
@@ -12,7 +14,7 @@ from sepselect.classify import (
     knn_predict,
 )
 from sepselect.dataio import Dataset
-from sepselect.distances import squared_blocks
+from sepselect.distances import difference_sums
 from sepselect.errors import DataError
 
 
@@ -101,13 +103,16 @@ class TestKnnPredict:
 
 def oracle_knn(train, test, subset, n_neighbors):
     """The per-row loop of knn_predict before it computed blocks of rows,
-    verbatim; also returns each row's squared distances (test oracle)."""
+    with each row's squared distances added one subset column at a time in
+    subset order; also returns those distances (test oracle)."""
     a = train.instances[:, subset]
     b = test.instances[:, subset]
     labels = train.labels
     preds, dists = [], []
     for row in b:
-        d2 = np.sum((a - row) ** 2, axis=1)
+        d2 = np.zeros(len(a))
+        for j in range(a.shape[1]):
+            d2 += (a[:, j] - row[j]) ** 2
         order = np.argsort(d2, kind="stable")[:n_neighbors]
         preds.append(_majority(labels[order]))
         dists.append(d2)
@@ -156,7 +161,7 @@ class TestKnnAgainstRowLoop:
         expected, dists = oracle_knn(train, test, subset, k)
         assert np.array_equal(knn_predict(train, test, subset, k), expected)
         a, b = train.instances[:, subset], test.instances[:, subset]
-        assert np.array_equal(np.vstack(list(squared_blocks(b, a))), np.vstack(dists))
+        assert np.array_equal(difference_sums(b, a, np.square), np.vstack(dists))
 
     @pytest.mark.parametrize("block_bytes", [1, 10**12])
     def test_block_size_does_not_change_results(self, block_bytes, monkeypatch):
@@ -169,12 +174,13 @@ class TestKnnAgainstRowLoop:
         subset = [0, 2, 3, 5, 6, 7, 8, 1]
         base = knn_predict(train, test, subset, 7)
         a, b = train.instances[:, subset], test.instances[:, subset]
-        base_d2 = np.vstack(list(squared_blocks(b, a)))
+        base_d2 = difference_sums(b, a, np.square)
         monkeypatch.setattr(distances, "_BLOCK_BYTES", block_bytes)
-        blocks = list(squared_blocks(b, a))
-        assert len(blocks) == (100 if block_bytes == 1 else 1)
-        assert np.array_equal(np.vstack(blocks), base_d2)
-        assert np.array_equal(knn_predict(train, test, subset, 7), base)
+        with mock.patch.object(classify, "difference_sums", wraps=difference_sums) as writer:
+            got = knn_predict(train, test, subset, 7)
+        assert writer.call_count == (100 if block_bytes == 1 else 1)
+        assert np.array_equal(difference_sums(b, a, np.square), base_d2)
+        assert np.array_equal(got, base)
         assert np.array_equal(base, oracle_knn(train, test, subset, 7)[0])
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepselect import distances
-from sepselect.distances import absolute_blocks, cross, nearest, squared_pairwise
+from sepselect.distances import cross, difference_sums, nearest, squared_pairwise
 
 
 def _points_with_duplicates():
@@ -79,8 +79,8 @@ class TestBlockedCross:
         a, b = problem
         expected = in_index_order(np.abs(a[:, None] - b[None]))
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
-            got = np.vstack(list(absolute_blocks(a, b)))
-            mirrored = np.vstack(list(absolute_blocks(b, a)))
+            got = difference_sums(a, b, np.abs)
+            mirrored = difference_sums(b, a, np.abs)
         assert got.tobytes() == expected.tobytes()
         assert mirrored.T.tobytes() == expected.tobytes()
 
@@ -121,7 +121,7 @@ class TestSumOrder:
         absolute = in_index_order(np.abs(b[None] - a[:, None]))
         with mock.patch.object(distances, "_BLOCK_BYTES", block_bytes):
             got = cross(a, b)
-            got_l1 = np.vstack(list(absolute_blocks(a, b)))
+            got_l1 = difference_sums(a, b, np.abs)
         assert got.tobytes() == np.sqrt(squared).tobytes()
         assert got_l1.tobytes() == absolute.tobytes()
 
@@ -132,13 +132,12 @@ class TestSumOrder:
         # them, in both layouts; the scales spread by 10^6 so that any
         # other order rounds apart
         rng = np.random.default_rng(9)
-        blocks = distances.squared_blocks if op is np.square else absolute_blocks
         for d in [*range(1, 301), 9000]:
             a = rng.normal(size=(1 if d == 9000 else 2, d)) * 10.0 ** rng.integers(-3, 4, d)
             b = rng.normal(size=(3, d))
             expected = in_index_order(op(b[None] - a[:, None]))
             for order in "CF":
-                got = np.vstack(list(blocks(np.asarray(a, order=order), np.asarray(b, order=order))))
+                got = difference_sums(np.asarray(a, order=order), np.asarray(b, order=order), op)
                 assert got.tobytes() == expected.tobytes(), (d, order)
 
     def test_no_columns_give_zero_distances(self):
@@ -146,7 +145,7 @@ class TestSumOrder:
         x = np.empty((4, 0))
         assert np.array_equal(squared_pairwise(x), np.zeros((4, 4)))
         assert np.array_equal(cross(x, x[:2]), np.zeros((4, 2)))
-        assert np.array_equal(np.vstack(list(absolute_blocks(x, x))), np.zeros((4, 4)))
+        assert np.array_equal(difference_sums(x, x, np.abs), np.zeros((4, 4)))
 
 
 class TestSquaredPairwise:

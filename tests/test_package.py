@@ -118,3 +118,15 @@ def test_distances_sum_in_one_order():
     for name in ("c_contiguous", "f_contiguous", "flags"):
         assert name not in source, name
     assert re.search(r"\bdef _pairwise_sum\b", source) is None
+
+
+def test_distances_have_one_writer():
+    # every distance comes from distances.difference_sums: no block
+    # generator in distances, and no module names the deleted generators
+    # or the assembler of their blocks, so none imports them
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "sepselect"
+    assert re.search(r"\byield\b", (package / "distances.py").read_text("utf-8")) is None
+    for path in package.glob("*.py"):
+        source = path.read_text("utf-8")
+        for name in ("squared_blocks", "absolute_blocks", "_difference_blocks", "assembled"):
+            assert re.search(rf"\b{name}\b", source) is None, (path.name, name)

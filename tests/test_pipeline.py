@@ -169,6 +169,24 @@ class TestMssCurve:
         assert len(tasks) == 5
         assert peak < 0.1 * train.instances.nbytes
 
+    def test_fold_task_holds_no_validation_distances_through_the_sweep(self):
+        # the validation part's (M, M) distances are built after the
+        # embedding and the sweep: held through both, the task's peak read
+        # 8.7 (M, M) arrays at M = 203, and 7.3 without
+        train, _ = redundant_groups(
+            n_instances=720, n_classes=12, group_sizes=[7] * 29, seed=6
+        )
+        m = train.n_features
+        _, tasks = pipeline._fold_tasks(train, small_cfg(perplexity=30.0, tsne_iterations=100, k_max=12))
+        tasks[1]()  # warm up first: lazily imported numpy helpers would count as peak
+        tracemalloc.start()
+        try:
+            tasks[0]()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * m * 8
+
 
 class TestSelectFeatures:
     def test_duplicate_groups_pick_one_per_group(self, duplicate_groups):
