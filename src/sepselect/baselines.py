@@ -10,7 +10,7 @@ import numpy as np
 
 from .distances import difference_sums, nearest, row_blocks
 from .errors import DataError, require_integer
-from .separability import VAR_FLOOR
+from .separability import class_stats
 
 DEFAULT_RELIEFF_NEIGHBORS = 10
 
@@ -35,26 +35,21 @@ def _ranked(scores):
 
 def fisher_scores(d):
     """Ratio of between-class scatter to within-class scatter, per feature."""
-    codes = d.label_codes()
-    x = d.instances
-    overall = x.mean(axis=0)
+    mean, variance = class_stats(d)
+    counts = np.bincount(d.label_codes(), minlength=d.n_classes)
+    overall = d.instances.mean(axis=0)
     numer = np.zeros(d.n_features)
     denom = np.zeros(d.n_features)
-    for c in range(d.n_classes):
-        sub = x[codes == c]
-        n_c = sub.shape[0]
-        if n_c == 0:
-            continue
-        numer += n_c * (sub.mean(axis=0) - overall) ** 2
-        denom += n_c * np.maximum(sub.var(axis=0), VAR_FLOOR)
+    for c, n_c in enumerate(counts.tolist()):
+        numer += n_c * (mean[:, c] - overall) ** 2
+        denom += n_c * variance[:, c]
     return _ranked(numer / denom)
 
 
 def check_relieff_neighbors(d, neighbors):
-    """DataError unless neighbors >= 1 and every class of d has more than
-    neighbors rows, so each pick has that many hits."""
-    if neighbors < 1:
-        raise DataError("neighbors must be >= 1")
+    """DataError unless neighbors is an integer >= 1 and every class of d
+    has more than neighbors rows, so each pick has that many hits."""
+    require_integer("neighbors", neighbors, 1)
     counts = np.bincount(d.label_codes(), minlength=d.n_classes)
     small = [d.class_ids[c] for c in range(d.n_classes) if counts[c] <= neighbors]
     if small:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import difference_sums, nearest, row_blocks
-from .errors import DataError
+from .errors import DataError, require_integer
 
 DEFAULT_NEIGHBORS = 5
 
@@ -48,8 +48,7 @@ def knn_predict(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
     if not subset:
         raise DataError("empty feature subset")
     for j in subset:
-        if not 0 <= j < train.n_features:
-            raise DataError(f"subset index {j} out of range")
+        require_integer("subset index", j, 0, train.n_features - 1)
     check_neighbors(n_neighbors, train.n_instances)
 
     a = train.instances[:, subset]
@@ -63,9 +62,9 @@ def knn_predict(train, test, subset, n_neighbors=DEFAULT_NEIGHBORS):
 
 
 def check_neighbors(n_neighbors, n_train):
-    """DataError unless 1 <= n_neighbors <= n_train, the train rows to vote."""
-    if n_neighbors < 1 or n_neighbors > n_train:
-        raise DataError(f"n_neighbors must be in [1, {n_train}], got {n_neighbors}")
+    """DataError unless n_neighbors is an integer in [1, n_train], the
+    train rows to vote."""
+    require_integer("n_neighbors", n_neighbors, 1, n_train)
 
 
 def _majority(neighbor_labels):

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
 4 resource error (out of memory, in this process or a worker, or a worker
 killed by a signal).
 Environment override: SEPSELECT_OUTPUT_DIR (default output directory).
-The report file is fully deterministic for a fixed config and seed;
-wall-clock timings go to timings.txt and stdout only.
+The report files (report.txt, compare.txt) are fully deterministic for a
+fixed config and seed; wall-clock timings go to timings.txt and stdout only.
 """
 
 import argparse
@@ -395,11 +395,10 @@ def cmd_compare(args):
     # k_min from a full CV selection on the first repetition's training split
     result = select_features(train0, sel)
     k_min = result.k_min
-    methods = ("sepselect",) + _BASELINES
 
     def repetition(r):
-        """(accuracy, balanced F) per method, and the predict seconds of
-        the selected subset and of all features, on repetition r's split."""
+        """{method: (accuracy, balanced F, predict seconds)} on repetition
+        r's split, for the five methods and for "all" features."""
         rep_seed = sel.seed + r
         if r == 0:
             # same split, seed and k as the selection's final clustering
@@ -408,38 +407,27 @@ def cmd_compare(args):
             train, test = split_train_test(data, rep_seed)
             _, clustering = select_at_k(train, k_min, replace(sel, seed=rep_seed))
             selected = clustering.medoids.tolist()
-        subsets = {"sepselect": selected}
-        for m in _BASELINES:
-            subsets[m] = _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
-        # the baselines' untimed runs go first, so that the first-call
-        # warm-up of a process falls on neither timed run
-        reports = {
-            m: evaluate(train, test, subsets[m], n_neighbors=args.neighbors)
-            for m in _BASELINES + ("sepselect",)
+        subsets = {
+            m: _baseline_subset(m, train, k_min, rep_seed, args.relieff_neighbors)
+            for m in _BASELINES
         }
-        full = evaluate(
-            train, test, list(range(data.n_features)), n_neighbors=args.neighbors
-        )
-        scores = [(reports[m].accuracy, reports[m].balanced_f) for m in methods]
-        return scores, reports["sepselect"].predict_time, full.predict_time
+        subsets["sepselect"] = selected
+        subsets["all"] = list(range(data.n_features))
+        # evaluated in that order: the baselines' untimed runs go first, so
+        # that the first-call warm-up of a process falls on neither timed run
+        record = {}
+        for m, subset in subsets.items():
+            report = evaluate(train, test, subset, n_neighbors=args.neighbors)
+            record[m] = (report.accuracy, report.balanced_f, report.predict_time)
+        return record
 
     # the repetitions are independent: run them side by side, settle them in order
     tasks = [partial(repetition, r) for r in range(reps)]
     outcomes = run_tasks(tasks, [f"repetition {r}" for r in range(reps)])
-    acc = {m: [] for m in methods}
-    bal = {m: [] for m in methods}
-    subset_times, all_times = [], []
-    for outcome in outcomes:
-        scores, subset_time, all_time = settle(outcome)
-        for m, (accuracy, balanced_f) in zip(methods, scores):
-            acc[m].append(accuracy)
-            bal[m].append(balanced_f)
-        subset_times.append(subset_time)
-        all_times.append(all_time)
+    records = [settle(outcome) for outcome in outcomes]
 
-    t_subset = float(np.mean(subset_times))
-    t_all = float(np.mean(all_times))
-    saving = 1.0 - t_subset / t_all if t_all > 0 else 0.0
+    def mean(method, field):
+        return float(np.mean([record[method][field] for record in records]))
 
     lines = [f"method comparison (k_min={k_min}, repetitions={reps})", ""]
     lines.extend(_config_echo(args, sel))
@@ -451,16 +439,19 @@ def cmd_compare(args):
         "mean metrics over repetitions:",
         f"  {'method':<10} {'accuracy':>9} {'balanced_f':>11}",
     ]
-    for m in methods:
-        lines.append(f"  {m:<10} {np.mean(acc[m]):>9.4f} {np.mean(bal[m]):>11.4f}")
-    lines += [
-        "",
-        "prediction timing (mean seconds):",
-        f"  subset (k={k_min}): {t_subset:.6f}",
-        f"  all features ({data.n_features}): {t_all:.6f}",
-        f"  estimated time saving: {100.0 * saving:.1f}%",
-    ]
-    text = "\n".join(lines) + "\n"
+    for m in ("sepselect",) + _BASELINES:
+        lines.append(f"  {m:<10} {mean(m, 0):>9.4f} {mean(m, 1):>11.4f}")
+    text = "\n".join(lines) + "\n\n"
+
+    t_subset, t_all = mean("sepselect", 2), mean("all", 2)
+    saving = 1.0 - t_subset / t_all if t_all > 0 else 0.0
+    timings = (
+        "prediction timing (mean seconds):\n"
+        f"  subset (k={k_min}): {t_subset:.6f}\n"
+        f"  all features ({data.n_features}): {t_all:.6f}\n"
+        f"  estimated time saving: {100.0 * saving:.1f}%\n"
+    )
     _write(os.path.join(outdir, "compare.txt"), text)
-    print(text, end="")
+    _write(os.path.join(outdir, "timings.txt"), timings)
+    print(text + timings, end="")
     return EXIT_OK

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import difference_sums, squared_pairwise
-from .errors import DataError, NumericalError, require_integer
+from .errors import NumericalError, require_integer
 
 _MAX_SWAP_ROUNDS = 300
 _IMPROVEMENT_EPS = 1e-12
@@ -125,8 +125,7 @@ def pam_cluster(points, k, seed, restarts=3, cost_log=None):
     run wins (ties: earliest restart), so the whole call is deterministic.
     cost_log, when given, receives the winning run's per-round costs.
     """
-    if restarts < 1:
-        raise DataError("restarts must be >= 1")
+    require_integer("restarts", restarts, 1)
     pts, dist = _checked_distances(points, k)  # dist is shared by every restart
 
     best, best_log = None, None

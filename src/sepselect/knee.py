@@ -50,19 +50,13 @@ def _orient(xn, yn):
     chord = yn[0] + (yn[-1] - yn[0]) * xn
     concave = float(np.mean(yn - chord)) >= 0.0
 
-    flip_x = False
-    x_used, y_used = xn, yn
-    if increasing and not concave:
-        y_used = (1.0 - yn)[::-1]
-        x_used = (1.0 - xn)[::-1]
-        flip_x = True
-    elif not increasing and concave:
-        y_used = yn[::-1]
-        x_used = (1.0 - xn)[::-1]
-        flip_x = True
-    elif not increasing and not concave:
-        y_used = 1.0 - yn
-    return x_used, y_used, flip_x
+    # flip a convex curve vertically, then mirror the curve horizontally
+    # if it decreases
+    y_used = yn if concave else 1.0 - yn
+    flip_x = bool(increasing != concave)
+    if flip_x:
+        return (1.0 - xn)[::-1], y_used[::-1], flip_x
+    return xn, y_used, flip_x
 
 
 def _difference_curve(curve):

@@ -131,15 +131,14 @@ def conditional_affinities(z, perplexity):
 
     # row i: the squared distances from point i to the others
     shifted = _off_diagonal(squared_pairwise(points)).reshape(m, m - 1)
-    nearest = shifted.min(axis=1)[:, None]
-    closest = shifted == nearest
-    ties = np.count_nonzero(closest, axis=1)
-    tied = np.flatnonzero(ties > perplexity)
-    uniform = closest[tied] / ties[tied, None]
-    del closest
     # shift by the smallest distance so the nearest neighbor never
-    # underflows; the shift cancels in the normalization
-    shifted -= nearest
+    # underflows; the shift cancels in the normalization. After it the
+    # nearest neighbors are exactly 0 and no other entry is, as x - n > 0
+    # for doubles x > n.
+    shifted -= shifted.min(axis=1)[:, None]
+    ties = np.count_nonzero(shifted == 0.0, axis=1)
+    tied = np.flatnonzero(ties > perplexity)
+    uniform = (shifted[tied] == 0.0) / ties[tied, None]
 
     p_rows = _normalized_kernel(shifted, _bandwidths(shifted, ties, perplexity))
     p_rows[tied] = uniform

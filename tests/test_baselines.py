@@ -42,6 +42,12 @@ class TestFisher:
         ranked = fisher_scores(d)
         assert ranked.order.tolist() == [0, 1, 2]
 
+    def test_class_without_rows_is_data_error(self):
+        # select_rows keeps every class id, so a class can have no rows
+        d = _dataset([[0, 1, 2, 3], [1, 0, 3, 2]], ["a", "a", "b", "b"]).select_rows([0, 1])
+        with pytest.raises(DataError, match="class 'b' has no samples"):
+            fisher_scores(d)
+
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(4)
         cols = [rng.normal(size=40) + (rng.uniform() * (np.arange(40) % 2)) for _ in range(5)]

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import os
 import signal
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from _datasets import redundant_groups, write_csv
-from sepselect import cli, pipeline
+from sepselect import classify, cli, pipeline
 from sepselect.baselines import relieff_weights
 from sepselect.classify import evaluate
 from sepselect.cli import _selection, build_parser, main
@@ -486,25 +487,50 @@ class TestCompare:
         text = open(os.path.join(outdir, "compare.txt")).read()
         assert "sepselect" in text
         assert "relieff" in text
-        assert "time saving" in text
+        timings = open(os.path.join(outdir, "timings.txt")).read()
+        assert "time saving" in timings
         out = capsys.readouterr().out
         assert "method comparison" in out
 
-    def test_report_is_byte_identical_across_runs_up_to_timing(self, csv_path, tmp_path):
+    def test_report_is_byte_identical_across_runs(self, csv_path, tmp_path):
         texts = []
         for run in ("a", "b"):
             outdir = str(tmp_path / run)
             assert main(_compare_args(csv_path, outdir)) == 0
-            text = open(os.path.join(outdir, "compare.txt"), "rb").read()
-            texts.append(text[: text.index(b"prediction timing")])
+            texts.append(open(os.path.join(outdir, "compare.txt"), "rb").read())
         assert texts[0] == texts[1]
+
+    def test_wall_clock_goes_to_timings_and_stdout_only(
+        self, csv_path, tmp_path, capsys, monkeypatch
+    ):
+        # the clock that times each KNN run advances by a different step
+        # in each run; forked workers take a copy of it
+        runs = []
+        for step in (0.001, 0.003):
+            monkeypatch.setattr(classify.time, "perf_counter", itertools.count(1.0, step).__next__)
+            outdir = str(tmp_path / f"step{step}")
+            assert main(_compare_args(csv_path, outdir)) == 0
+            files = sorted(os.listdir(outdir))
+            report, timings = (
+                open(os.path.join(outdir, name), "rb").read()
+                for name in ("compare.txt", "timings.txt")
+            )
+            runs.append((files, report, timings, capsys.readouterr().out))
+        (files_a, report_a, timings_a, out_a), (files_b, report_b, timings_b, out_b) = runs
+        assert files_a == files_b == ["compare.txt", "timings.txt"]
+        assert report_a == report_b
+        assert b"prediction timing" not in report_a
+        assert timings_a != timings_b
+        assert timings_a.startswith(b"prediction timing (mean seconds):\n")
+        assert out_a.encode() == report_a + timings_a
+        assert out_b.encode() == report_b + timings_b
 
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--neighbors", "0", "n_neighbors must be in [1, "),
-            ("--neighbors", "500", "n_neighbors must be in [1, "),
-            ("--relieff-neighbors", "0", "neighbors must be >= 1"),
+            ("--neighbors", "0", "n_neighbors must be an integer in [1, "),
+            ("--neighbors", "500", "n_neighbors must be an integer in [1, "),
+            ("--relieff-neighbors", "0", "neighbors must be an integer >= 1, got 0"),
             ("--relieff-neighbors", "40", "every class needs more than 40 samples"),
         ],
     )
@@ -624,11 +650,6 @@ def tied_csv_path(tmp_path_factory):
     return str(path)
 
 
-def _stable_compare(outdir):
-    text = open(os.path.join(outdir, "compare.txt"), "rb").read()
-    return text[: text.index(b"prediction timing")]
-
-
 @pytest.mark.usefixtures("bounded_and_no_child_left")
 class TestResourceErrors:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -730,7 +751,8 @@ class TestCompareWorkers:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main(args) == 0
-            runs.append((_stable_compare(outdir), [(w.category, str(w.message)) for w in caught]))
+            text = open(os.path.join(outdir, "compare.txt"), "rb").read()
+            runs.append((text, [(w.category, str(w.message)) for w in caught]))
         text, caught = runs[0]
         seeds = [message for _, message in caught if message.startswith("clustering")]
         assert seeds == ["clustering with seed 7", "clustering with seed 8"]
